@@ -150,35 +150,57 @@ void BM_ClassifyPredicate(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyPredicate);
 
-// Deterministic Poisson(1) bootstrap weights for one row across trials.
+// Deterministic Poisson(1) bootstrap weights for one row across trials,
+// packed once per streamed row as the engine does.
 void BM_PoissonWeights(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
   BootstrapWeights weights(42, trials);
+  std::vector<uint8_t> packed(trials);
   uint64_t uid = 0;
   for (auto _ : state) {
-    int sum = 0;
-    for (int t = 0; t < trials; ++t) sum += weights.WeightAt(uid, t);
-    benchmark::DoNotOptimize(sum);
+    weights.Fill(uid, packed.data());
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
     ++uid;
   }
   state.SetItemsProcessed(state.iterations() * trials);
 }
 BENCHMARK(BM_PoissonWeights)->Arg(20)->Arg(100);
 
-// Folding one tuple into a sketch across all bootstrap trials: the
+// Folding one tuple into a sketch across all bootstrap trials (the main
+// replica plus one range fold over packed uint8 Poisson weights): the
 // dominant per-tuple cost of an online AGGREGATE.
 void BM_TrialAccumulate(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
   auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
   TrialAccumulatorSet acc(*fn, trials);
-  std::vector<int> weights(trials, 1);
+  std::vector<uint8_t> weights(trials);
+  BootstrapWeights(42, trials).Fill(7, weights.data());
   const Value v = Value::Double(3.25);
   for (auto _ : state) {
-    acc.Add(v, 1.0, weights.data());
+    acc.AddMainOnly(v, 1.0);
+    acc.AddTrials(v, 1.0, weights.data(), 0, trials);
   }
   state.SetItemsProcessed(state.iterations() * (trials + 1));
 }
 BENCHMARK(BM_TrialAccumulate)->Arg(0)->Arg(20)->Arg(100);
+
+// Checkpoint clone of one sketch cell (one AVG over one group with all its
+// trial replicas): what MakeCheckpoint pays per (group, aggregate).
+void BM_SketchClone(benchmark::State& state) {
+  const int trials = static_cast<int>(state.range(0));
+  auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
+  TrialAccumulatorSet acc(*fn, trials);
+  std::vector<uint8_t> weights(trials);
+  BootstrapWeights(42, trials).Fill(7, weights.data());
+  acc.AddMainOnly(Value::Double(3.25), 1.0);
+  acc.AddTrials(Value::Double(3.25), 1.0, weights.data(), 0, trials);
+  for (auto _ : state) {
+    TrialAccumulatorSet copy = acc.Clone();
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_SketchClone)->Arg(100);
 
 // Incremental hash-join probe (dimension-cache lookup).
 void BM_JoinProbe(benchmark::State& state) {
@@ -205,11 +227,12 @@ void BM_GroupedAggregate(benchmark::State& state) {
   specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
                           Col(0, "x", ValueType::kDouble), "s"});
   GroupedAggregateState groups(&specs, /*num_trials=*/20);
-  std::vector<int> weights(20, 1);
+  const std::vector<uint8_t> weights(20, 1);
   int64_t g = 0;
   for (auto _ : state) {
     auto& cells = groups.GetOrCreate({Value::Int64(g % 64)}, 0);
-    cells.aggs[0].Add(Value::Double(1.5), 1.0, weights.data());
+    cells.aggs[0].AddMainOnly(Value::Double(1.5), 1.0);
+    cells.aggs[0].AddTrials(Value::Double(1.5), 1.0, weights.data(), 0, 20);
     ++g;
   }
 }

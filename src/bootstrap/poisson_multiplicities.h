@@ -16,19 +16,24 @@ namespace iolap {
 class BootstrapWeights {
  public:
   BootstrapWeights(uint64_t seed, int num_trials)
-      : seed_(seed), num_trials_(num_trials) {}
+      : stream_(seed ^ 0xb0075742u), num_trials_(num_trials) {}
 
   int num_trials() const { return num_trials_; }
 
   /// Poisson(1) multiplicity of streamed row `uid` in trial `t`.
   int WeightAt(uint64_t uid, int trial) const;
 
+  /// Packs row `uid`'s multiplicities for every trial: out[t] =
+  /// WeightAt(uid, t) for t in [0, num_trials). The engine fills this once
+  /// per streamed row and every aggregate and trial of the row reads it.
+  void Fill(uint64_t uid, uint8_t* out) const;
+
   /// Approximate extra bytes the bootstrap multiplicity columns add to one
   /// shuffled row (one byte per trial), for the data-shipped cost model.
   uint64_t RowOverheadBytes() const { return static_cast<uint64_t>(num_trials_); }
 
  private:
-  uint64_t seed_;
+  uint64_t stream_;
   int num_trials_;
 };
 

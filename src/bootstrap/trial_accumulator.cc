@@ -3,19 +3,8 @@
 namespace iolap {
 
 TrialAccumulatorSet::TrialAccumulatorSet(const AggFunction& fn,
-                                         int num_trials) {
-  main_ = fn.NewAccumulator();
-  trials_.reserve(num_trials);
-  for (int t = 0; t < num_trials; ++t) trials_.push_back(fn.NewAccumulator());
-}
-
-void TrialAccumulatorSet::AddMoments(const Value& v, double weight) {
-  if (v.is_null() || !v.is_numeric()) return;
-  const double x = v.AsDouble();
-  m_n_ += weight;
-  m_sum_ += weight * x;
-  m_sumsq_ += weight * x * x;
-}
+                                         int num_trials)
+    : acc_(fn.NewAccumulator(1 + num_trials)), num_trials_(num_trials) {}
 
 double TrialAccumulatorSet::moment_variance() const {
   if (m_n_ <= 1.0) return 0.0;
@@ -24,80 +13,58 @@ double TrialAccumulatorSet::moment_variance() const {
   return var < 0.0 ? 0.0 : var;
 }
 
-void TrialAccumulatorSet::Add(const Value& v, double weight,
-                              const int* trial_weights) {
-  main_->Add(v, weight);
-  AddMoments(v, weight);
-  for (size_t t = 0; t < trials_.size(); ++t) {
-    const double w = trial_weights != nullptr ? weight * trial_weights[t]
-                                              : weight;
-    if (w != 0.0) trials_[t]->Add(v, w);
-  }
-}
-
-void TrialAccumulatorSet::AddPerTrial(const std::vector<Value>& values,
-                                      double weight,
-                                      const int* trial_weights) {
-  main_->Add(values[0], weight);
-  AddMoments(values[0], weight);
-  for (size_t t = 0; t < trials_.size(); ++t) {
-    const double w = trial_weights != nullptr ? weight * trial_weights[t]
-                                              : weight;
-    if (w != 0.0) trials_[t]->Add(values[1 + t], w);
-  }
-}
-
 void TrialAccumulatorSet::AddMainOnly(const Value& v, double weight) {
-  main_->Add(v, weight);
-  AddMoments(v, weight);
+  acc_->Add(0, v, weight);
+  if (v.is_null() || !v.is_numeric()) return;
+  const double x = v.AsDouble();
+  m_n_ += weight;
+  m_sum_ += weight * x;
+  m_sumsq_ += weight * x * x;
+}
+
+void TrialAccumulatorSet::AddTrials(const Value& v, double weight,
+                                    const uint8_t* tw, int t0, int t1) {
+  acc_->AddRange(v, weight, tw != nullptr ? tw + t0 : nullptr, 1 + t0,
+                 1 + t1);
 }
 
 void TrialAccumulatorSet::AddTrialOnly(int trial, const Value& v,
                                        double weight) {
-  if (weight != 0.0) trials_[trial]->Add(v, weight);
+  if (weight != 0.0) acc_->Add(1 + trial, v, weight);
 }
 
 void TrialAccumulatorSet::Merge(const TrialAccumulatorSet& other) {
-  main_->Merge(*other.main_);
+  acc_->Merge(*other.acc_);
   m_n_ += other.m_n_;
   m_sum_ += other.m_sum_;
   m_sumsq_ += other.m_sumsq_;
-  for (size_t t = 0; t < trials_.size(); ++t) {
-    trials_[t]->Merge(*other.trials_[t]);
-  }
 }
 
 Value TrialAccumulatorSet::MainResult(double scale) const {
-  return main_->Result(scale);
+  return acc_->Result(0, scale);
 }
 
 std::vector<double> TrialAccumulatorSet::TrialResults(double scale) const {
-  const Value main = main_->Result(scale);
+  const Value main = acc_->Result(0, scale);
   const double fallback = main.is_null() ? 0.0 : main.AsDouble();
-  std::vector<double> out;
-  out.reserve(trials_.size());
-  for (const auto& trial : trials_) {
-    const Value v = trial->Result(scale);
-    out.push_back(v.is_null() ? fallback : v.AsDouble());
+  std::vector<double> out(static_cast<size_t>(num_trials_));
+  for (int t = 0; t < num_trials_; ++t) {
+    const Value v = acc_->Result(1 + t, scale);
+    out[t] = v.is_null() ? fallback : v.AsDouble();
   }
   return out;
 }
 
 TrialAccumulatorSet TrialAccumulatorSet::Clone() const {
   TrialAccumulatorSet copy;
+  copy.acc_ = acc_->Clone();
+  copy.num_trials_ = num_trials_;
   copy.m_n_ = m_n_;
   copy.m_sum_ = m_sum_;
   copy.m_sumsq_ = m_sumsq_;
-  copy.main_ = main_->Clone();
-  copy.trials_.reserve(trials_.size());
-  for (const auto& trial : trials_) copy.trials_.push_back(trial->Clone());
   return copy;
 }
 
-size_t TrialAccumulatorSet::ByteSize() const {
-  size_t total = main_->ByteSize();
-  for (const auto& trial : trials_) total += trial->ByteSize();
-  return total;
-}
+size_t TrialAccumulatorSet::ByteSize() const { return acc_->ByteSize(); }
 
 }  // namespace iolap

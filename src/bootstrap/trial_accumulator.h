@@ -1,6 +1,7 @@
 #ifndef IOLAP_BOOTSTRAP_TRIAL_ACCUMULATOR_H_
 #define IOLAP_BOOTSTRAP_TRIAL_ACCUMULATOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,32 +11,32 @@
 namespace iolap {
 
 /// The sketch state of one aggregate over one group, replicated across
-/// bootstrap trials: one main accumulator (plain multiplicities) plus
-/// `num_trials` trial accumulators (Poisson multiplicities). This is the
-/// runtime form of the paper's "all uncertain attributes are duplicated to
-/// multiple instances, one per bootstrap trial" (§7/Appendix C), compressed
-/// into sub-linear sketches per §4.2.
+/// bootstrap trials: one AggAccumulator holding 1 + `num_trials` replicas,
+/// replica 0 the main evaluation (plain multiplicities) and replica 1 + t
+/// trial t (Poisson multiplicities). This is the runtime form of the
+/// paper's "all uncertain attributes are duplicated to multiple instances,
+/// one per bootstrap trial" (§7/Appendix C), compressed into sub-linear
+/// sketches per §4.2.
 class TrialAccumulatorSet {
  public:
   TrialAccumulatorSet(const AggFunction& fn, int num_trials);
 
-  int num_trials() const { return static_cast<int>(trials_.size()); }
+  int num_trials() const { return num_trials_; }
 
-  /// Folds a value whose main multiplicity is `weight` and whose trial-t
-  /// multiplicity is weight * trial_weights[t]. `trial_weights` may be null
-  /// when every trial weight equals the main weight (non-streamed rows).
-  void Add(const Value& v, double weight, const int* trial_weights);
-
-  /// Folds a value that differs per trial (uncertain aggregate inputs):
-  /// values[0] is the main value, values[1 + t] the trial-t value.
-  void AddPerTrial(const std::vector<Value>& values, double weight,
-                   const int* trial_weights);
-
-  /// Folds into the main accumulator only / one trial accumulator only.
-  /// Used for non-deterministic rows whose filter decision differs per
-  /// bootstrap trial (§5): the delta engine evaluates the predicate per
-  /// trial and routes each surviving (value, weight) individually.
+  /// Folds into the main replica only.
   void AddMainOnly(const Value& v, double weight);
+
+  /// Folds `v` into trials [t0, t1): trial t with multiplicity
+  /// weight * tw[t], or `weight` when `tw` is null (non-streamed rows).
+  /// `tw` holds the row's packed multiplicities for every trial
+  /// (BootstrapWeights::Fill). Zero multiplicities are skipped.
+  void AddTrials(const Value& v, double weight, const uint8_t* tw, int t0,
+                 int t1);
+
+  /// Folds into one trial replica only (skipped when `weight` is 0). Used
+  /// for non-deterministic rows whose filter decision and argument values
+  /// differ per bootstrap trial (§5): the delta engine evaluates them per
+  /// trial and routes each surviving (value, weight) individually.
   void AddTrialOnly(int trial, const Value& v, double weight);
 
   void Merge(const TrialAccumulatorSet& other);
@@ -59,10 +60,8 @@ class TrialAccumulatorSet {
  private:
   TrialAccumulatorSet() = default;
 
-  void AddMoments(const Value& v, double weight);
-
-  std::unique_ptr<AggAccumulator> main_;
-  std::vector<std::unique_ptr<AggAccumulator>> trials_;
+  std::unique_ptr<AggAccumulator> acc_;
+  int num_trials_ = 0;
   double m_n_ = 0.0;
   double m_sum_ = 0.0;
   double m_sumsq_ = 0.0;

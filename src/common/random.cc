@@ -105,21 +105,4 @@ int Rng::NextPoisson(double mean) {
   return k - 1;
 }
 
-int PoissonOneAt(uint64_t stream, uint64_t index) {
-  // Deterministic Poisson(1) via inverse-CDF on a hashed uniform. The CDF
-  // of Poisson(1) at k = 0..8 (k >= 9 has probability < 1e-6 and is folded
-  // into the last bucket; the bias is far below bootstrap noise).
-  static const double kCdf[] = {
-      0.36787944117144233, 0.7357588823428847, 0.9196986029286058,
-      0.9810118431238462,  0.9963401531726563, 0.9994058151824183,
-      0.9999167588507119,  0.9999897508033253, 0.9999988747974020,
-  };
-  const uint64_t h = Mix64(HashCombine(stream, index));
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  for (int k = 0; k < 9; ++k) {
-    if (u < kCdf[k]) return k;
-  }
-  return 9;
-}
-
 }  // namespace iolap

@@ -52,11 +52,52 @@ class Rng {
   uint64_t state_[4];
 };
 
+/// CDF of Poisson(1) at k = 0..8.
+inline constexpr double kPoissonOneCdf[9] = {
+    0.36787944117144233, 0.7357588823428847, 0.9196986029286058,
+    0.9810118431238462,  0.9963401531726563, 0.9994058151824183,
+    0.9999167588507119,  0.9999897508033253, 0.9999988747974020,
+};
+
+/// ceil(x) for 0 <= x < 2^53.
+constexpr uint64_t CeilToUint64(double x) {
+  const auto floor = static_cast<uint64_t>(x);
+  return static_cast<double>(floor) < x ? floor + 1 : floor;
+}
+
+/// Threshold k is ceil(CDF(k) * 2^53). CDF(k) * 2^53 is exact in double,
+/// so for a 53-bit integer u, `u >= threshold` decides exactly what
+/// `u * 2^-53 >= CDF(k)` decides in double arithmetic.
+inline constexpr uint64_t kPoissonOneThresholds[9] = {
+    CeilToUint64(kPoissonOneCdf[0] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[1] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[2] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[3] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[4] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[5] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[6] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[7] * 0x1.0p53),
+    CeilToUint64(kPoissonOneCdf[8] * 0x1.0p53),
+};
+
+/// Poisson(1) draw by inverse CDF on the top 53 bits of a 64-bit hash,
+/// done as integer compares against kPoissonOneThresholds. k >= 9 has
+/// probability < 1e-6 and is folded into 9; the bias is far below
+/// bootstrap noise.
+inline int PoissonOneOfHash(uint64_t hash) {
+  const uint64_t bits = hash >> 11;
+  int k = 0;
+  for (uint64_t threshold : kPoissonOneThresholds) k += bits >= threshold;
+  return k;
+}
+
 /// Stateless Poisson(1) draw keyed by (stream, index). The poissonized
 /// bootstrap needs the multiplicity of row r in trial t to be a pure
 /// function of (r, t) so that re-processing a tuple (delta updates, failure
 /// recovery) sees the same multiplicities the first pass saw.
-int PoissonOneAt(uint64_t stream, uint64_t index);
+inline int PoissonOneAt(uint64_t stream, uint64_t index) {
+  return PoissonOneOfHash(Mix64(HashCombine(stream, index)));
+}
 
 }  // namespace iolap
 

@@ -9,120 +9,129 @@ namespace {
 
 // ------------------------------------------------- COUNT / SUM / AVG
 
-// One (sum, count) pair serves all three linear aggregates.
-class SumCountAccumulator final : public AggAccumulator {
+// One (sum, count) pair per replica serves all three linear aggregates:
+// field 0 is the weighted sum, field 1 the weighted count.
+class SumCountAccumulator final
+    : public WeightedSumsAccumulator<SumCountAccumulator, 2> {
  public:
-  explicit SumCountAccumulator(AggKind kind) : kind_(kind) {}
+  SumCountAccumulator(AggKind kind, int replicas)
+      : WeightedSumsAccumulator(replicas), kind_(kind) {}
 
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    count_ += weight;
-    sum_ += weight * v.AsDouble();
+  static bool Prepare(const Value& v, double* x) {
+    if (v.is_null()) return false;
+    *x = v.AsDouble();
+    return true;
   }
 
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const SumCountAccumulator&>(other);
-    count_ += o.count_;
-    sum_ += o.sum_;
+  void Step(int r, double x, double weight) {
+    field(1)[r] += weight;
+    field(0)[r] += weight * x;
   }
 
-  Value Result(double scale) const override {
+  Value Result(int r, double scale) const override {
+    const double count = field(1)[r];
+    const double sum = field(0)[r];
     switch (kind_) {
       case AggKind::kCount:
-        return Value::Double(scale * count_);
+        return Value::Double(scale * count);
       case AggKind::kSum:
-        return count_ == 0.0 ? Value::Null() : Value::Double(scale * sum_);
+        return count == 0.0 ? Value::Null() : Value::Double(scale * sum);
       default:  // kAvg
-        return count_ == 0.0 ? Value::Null() : Value::Double(sum_ / count_);
+        return count == 0.0 ? Value::Null() : Value::Double(sum / count);
     }
   }
 
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<SumCountAccumulator>(*this);
-  }
-
-  size_t ByteSize() const override { return 2 * sizeof(double); }
-
  private:
   AggKind kind_;
-  double sum_ = 0.0;
-  double count_ = 0.0;
 };
 
 // ----------------------------------------------------------- MIN / MAX
 
 class MinMaxAccumulator final : public AggAccumulator {
  public:
-  explicit MinMaxAccumulator(bool is_min) : is_min_(is_min) {}
+  MinMaxAccumulator(bool is_min, int replicas)
+      : is_min_(is_min), best_(static_cast<size_t>(replicas)) {}
 
-  void Add(const Value& v, double weight) override {
-    if (v.is_null() || weight <= 0.0) return;
-    if (best_.is_null()) {
-      best_ = v;
-      return;
+  void Add(int r, const Value& v, double weight) override {
+    if (!v.is_null()) Step(r, v, weight);
+  }
+
+  void AddRange(const Value& v, double weight, const uint8_t* tw, int r0,
+                int r1) override {
+    if (v.is_null()) return;
+    for (int r = r0; r < r1; ++r) {
+      Step(r, v, tw != nullptr ? weight * tw[r - r0] : weight);
     }
-    const int cmp = v.Compare(best_);
-    if ((is_min_ && cmp < 0) || (!is_min_ && cmp > 0)) best_ = v;
   }
 
   void Merge(const AggAccumulator& other) override {
     const auto& o = static_cast<const MinMaxAccumulator&>(other);
-    Add(o.best_, 1.0);
+    for (size_t r = 0; r < best_.size(); ++r) {
+      Add(static_cast<int>(r), o.best_[r], 1.0);
+    }
   }
 
-  Value Result(double) const override { return best_; }
+  Value Result(int r, double) const override { return best_[r]; }
 
   std::unique_ptr<AggAccumulator> Clone() const override {
     return std::make_unique<MinMaxAccumulator>(*this);
   }
 
-  size_t ByteSize() const override { return sizeof(Value) + best_.ByteSize(); }
+  size_t ByteSize() const override {
+    size_t total = 0;
+    for (const Value& best : best_) total += sizeof(Value) + best.ByteSize();
+    return total;
+  }
 
  private:
+  // Zero and negative multiplicities leave the replica untouched.
+  void Step(int r, const Value& v, double weight) {
+    if (weight <= 0.0) return;
+    Value& best = best_[r];
+    if (best.is_null()) {
+      best = v;
+      return;
+    }
+    const int cmp = v.Compare(best);
+    if ((is_min_ && cmp < 0) || (!is_min_ && cmp > 0)) best = v;
+  }
+
   bool is_min_;
-  Value best_;
+  std::vector<Value> best_;
 };
 
 // ------------------------------------------------------ VAR / STDDEV
 
-class MomentsAccumulator final : public AggAccumulator {
+// Fields: weight, weighted x, weighted x^2.
+class MomentsAccumulator final
+    : public WeightedSumsAccumulator<MomentsAccumulator, 3> {
  public:
-  explicit MomentsAccumulator(bool stddev) : stddev_(stddev) {}
+  MomentsAccumulator(bool stddev, int replicas)
+      : WeightedSumsAccumulator(replicas), stddev_(stddev) {}
 
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    w_ += weight;
-    wx_ += weight * x;
-    wxx_ += weight * x * x;
+  static bool Prepare(const Value& v, double* x) {
+    if (v.is_null()) return false;
+    *x = v.AsDouble();
+    return true;
   }
 
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const MomentsAccumulator&>(other);
-    w_ += o.w_;
-    wx_ += o.wx_;
-    wxx_ += o.wxx_;
+  void Step(int r, double x, double weight) {
+    field(0)[r] += weight;
+    field(1)[r] += weight * x;
+    field(2)[r] += weight * x * x;
   }
 
-  Value Result(double) const override {
-    if (w_ <= 0.0) return Value::Null();
-    const double mean = wx_ / w_;
-    double var = wxx_ / w_ - mean * mean;
+  Value Result(int r, double) const override {
+    const double w = field(0)[r];
+    if (w <= 0.0) return Value::Null();
+    const double mean = field(1)[r] / w;
+    double var = field(2)[r] / w - mean * mean;
     if (var < 0.0) var = 0.0;  // numerical noise
     return Value::Double(stddev_ ? std::sqrt(var) : var);
   }
 
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<MomentsAccumulator>(*this);
-  }
-
-  size_t ByteSize() const override { return 3 * sizeof(double); }
-
  private:
   bool stddev_;
-  double w_ = 0.0;
-  double wx_ = 0.0;
-  double wxx_ = 0.0;
 };
 
 // --------------------------------------------------- built-in factory
@@ -166,20 +175,24 @@ class BuiltinAggFunction final : public AggFunction {
     return kind_ != AggKind::kMin && kind_ != AggKind::kMax;
   }
 
-  std::unique_ptr<AggAccumulator> NewAccumulator() const override {
+  std::unique_ptr<AggAccumulator> NewAccumulator(
+      int replicas) const override {
     switch (kind_) {
       case AggKind::kCount:
       case AggKind::kSum:
       case AggKind::kAvg:
-        return std::make_unique<SumCountAccumulator>(kind_);
+        return std::make_unique<SumCountAccumulator>(kind_, replicas);
       case AggKind::kMin:
-        return std::make_unique<MinMaxAccumulator>(/*is_min=*/true);
+        return std::make_unique<MinMaxAccumulator>(/*is_min=*/true, replicas);
       case AggKind::kMax:
-        return std::make_unique<MinMaxAccumulator>(/*is_min=*/false);
+        return std::make_unique<MinMaxAccumulator>(/*is_min=*/false,
+                                                   replicas);
       case AggKind::kVar:
-        return std::make_unique<MomentsAccumulator>(/*stddev=*/false);
+        return std::make_unique<MomentsAccumulator>(/*stddev=*/false,
+                                                    replicas);
       case AggKind::kStddev:
-        return std::make_unique<MomentsAccumulator>(/*stddev=*/true);
+        return std::make_unique<MomentsAccumulator>(/*stddev=*/true,
+                                                    replicas);
       default:
         assert(false && "kUdaf has no built-in accumulator");
         return nullptr;

@@ -45,86 +45,70 @@ int CompareNum(const NumericValue& a, const NumericValue& b) {
 // ------------------------------- built-in smooth UDAF implementations
 
 // GEOMEAN(x) = exp(weighted mean of log x); non-positive inputs skipped.
-class GeomeanAccumulator final : public AggAccumulator {
+// Fields: weight, weighted log x. log x is computed once per input.
+class GeomeanAccumulator final
+    : public WeightedSumsAccumulator<GeomeanAccumulator, 2> {
  public:
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
+  explicit GeomeanAccumulator(int replicas)
+      : WeightedSumsAccumulator(replicas) {}
+  static bool Prepare(const Value& v, double* log_x) {
+    if (v.is_null()) return false;
     const double x = v.AsDouble();
-    if (x <= 0.0) return;
-    w_ += weight;
-    wlog_ += weight * std::log(x);
+    if (x <= 0.0) return false;
+    *log_x = std::log(x);
+    return true;
   }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const GeomeanAccumulator&>(other);
-    w_ += o.w_;
-    wlog_ += o.wlog_;
+  void Step(int r, double log_x, double weight) {
+    field(0)[r] += weight;
+    field(1)[r] += weight * log_x;
   }
-  Value Result(double) const override {
-    return w_ <= 0.0 ? Value::Null() : Value::Double(std::exp(wlog_ / w_));
+  Value Result(int r, double) const override {
+    const double w = field(0)[r];
+    return w <= 0.0 ? Value::Null() : Value::Double(std::exp(field(1)[r] / w));
   }
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<GeomeanAccumulator>(*this);
-  }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
-
- private:
-  double w_ = 0.0;
-  double wlog_ = 0.0;
 };
 
 // HARMONIC_MEAN(x) = W / sum(w/x); non-positive inputs skipped.
-class HarmonicAccumulator final : public AggAccumulator {
+// Fields: weight, weighted 1/x. The step keeps the division w / x: the
+// product w * (1/x) would round differently.
+class HarmonicAccumulator final
+    : public WeightedSumsAccumulator<HarmonicAccumulator, 2> {
  public:
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    if (x <= 0.0) return;
-    w_ += weight;
-    winv_ += weight / x;
+  explicit HarmonicAccumulator(int replicas)
+      : WeightedSumsAccumulator(replicas) {}
+  static bool Prepare(const Value& v, double* x) {
+    if (v.is_null()) return false;
+    *x = v.AsDouble();
+    return !(*x <= 0.0);  // NaN inputs are folded, not skipped
   }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const HarmonicAccumulator&>(other);
-    w_ += o.w_;
-    winv_ += o.winv_;
+  void Step(int r, double x, double weight) {
+    field(0)[r] += weight;
+    field(1)[r] += weight / x;
   }
-  Value Result(double) const override {
-    return winv_ <= 0.0 ? Value::Null() : Value::Double(w_ / winv_);
+  Value Result(int r, double) const override {
+    const double winv = field(1)[r];
+    return winv <= 0.0 ? Value::Null() : Value::Double(field(0)[r] / winv);
   }
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<HarmonicAccumulator>(*this);
-  }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
-
- private:
-  double w_ = 0.0;
-  double winv_ = 0.0;
 };
 
-// RMS(x) = sqrt(weighted mean of x^2).
-class RmsAccumulator final : public AggAccumulator {
+// RMS(x) = sqrt(weighted mean of x^2). Fields: weight, weighted x^2.
+class RmsAccumulator final
+    : public WeightedSumsAccumulator<RmsAccumulator, 2> {
  public:
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    w_ += weight;
-    wxx_ += weight * x * x;
+  explicit RmsAccumulator(int replicas) : WeightedSumsAccumulator(replicas) {}
+  static bool Prepare(const Value& v, double* x) {
+    if (v.is_null()) return false;
+    *x = v.AsDouble();
+    return true;
   }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const RmsAccumulator&>(other);
-    w_ += o.w_;
-    wxx_ += o.wxx_;
+  void Step(int r, double x, double weight) {
+    field(0)[r] += weight;
+    field(1)[r] += weight * x * x;
   }
-  Value Result(double) const override {
-    return w_ <= 0.0 ? Value::Null() : Value::Double(std::sqrt(wxx_ / w_));
+  Value Result(int r, double) const override {
+    const double w = field(0)[r];
+    return w <= 0.0 ? Value::Null() : Value::Double(std::sqrt(field(1)[r] / w));
   }
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<RmsAccumulator>(*this);
-  }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
-
- private:
-  double w_ = 0.0;
-  double wxx_ = 0.0;
 };
 
 template <typename Accumulator>
@@ -134,8 +118,9 @@ class SmoothUdaf final : public AggFunction {
   std::string name() const override { return name_; }
   ValueType ResultType(ValueType) const override { return ValueType::kDouble; }
   bool SupportsSampling() const override { return true; }
-  std::unique_ptr<AggAccumulator> NewAccumulator() const override {
-    return std::make_unique<Accumulator>();
+  std::unique_ptr<AggAccumulator> NewAccumulator(
+      int replicas) const override {
+    return std::make_unique<Accumulator>(replicas);
   }
 
  private:

@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "bootstrap/trial_accumulator.h"
 #include "core/expr.h"
 
 namespace iolap {
@@ -138,7 +139,9 @@ Result<Table> EvaluateReference(const QueryPlan& plan, const Catalog& catalog,
     Table output(block.output_schema);
     if (block.has_aggregate()) {
       const double effective_scale = scans_stream ? scale : 1.0;
-      std::map<Row, std::vector<std::unique_ptr<AggAccumulator>>> groups;
+      // Main replica only (no trials): the same folds the engine's sketches
+      // run, with R = 1.
+      std::map<Row, std::vector<TrialAccumulatorSet>> groups;
       for (const RefRow& row : joined) {
         Row key;
         key.reserve(block.group_by.size());
@@ -148,17 +151,18 @@ Result<Table> EvaluateReference(const QueryPlan& plan, const Catalog& catalog,
         auto [it, inserted] = groups.try_emplace(std::move(key));
         if (inserted) {
           for (const AggSpec& spec : block.aggs) {
-            it->second.push_back(spec.fn->NewAccumulator());
+            it->second.emplace_back(*spec.fn, /*num_trials=*/0);
           }
         }
         for (size_t a = 0; a < block.aggs.size(); ++a) {
-          it->second[a]->Add(block.aggs[a].arg->Eval(row.values, ctx), 1.0);
+          it->second[a].AddMainOnly(block.aggs[a].arg->Eval(row.values, ctx),
+                                    1.0);
         }
       }
       for (const auto& [key, accs] : groups) {
         Row out = key;
-        for (const auto& acc : accs) {
-          out.push_back(acc->Result(effective_scale));
+        for (const TrialAccumulatorSet& acc : accs) {
+          out.push_back(acc.MainResult(effective_scale));
         }
         output.AddRow(std::move(out));
       }

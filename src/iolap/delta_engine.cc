@@ -226,7 +226,8 @@ std::vector<double> BlockExecutor::DisplayAnalyticSd(
   return out;
 }
 
-void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
+void BlockExecutor::AccumulateCertain(const ExecRow& row,
+                                      const uint8_t* weights, int batch,
                                       GroupedAggregateState* target) {
   const EvalContext ctx = MainContext();
   GroupedAggregateState::GroupCells& cells =
@@ -237,8 +238,7 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
     const Value v = block_->aggs[a].arg->Eval(row.values, ctx);
     cells.aggs[a].AddMainOnly(v, row.weight);
     if (defer) {
-      deferred_certain_.push_back(
-          {&cells.aggs[a], v, row.weight, row.stream_uid, row.FromStream()});
+      deferred_certain_.push_back({&cells.aggs[a], v, row.weight, weights});
     }
   }
 }
@@ -271,8 +271,7 @@ bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
   ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
   for (int t = 0; t < trials; ++t) {
     ev->trial_w[t] =
-        row.weight *
-        (row.FromStream() ? bootstrap_.WeightAt(row.stream_uid, t) : 1);
+        row.weight * (ev->weights != nullptr ? ev->weights[t] : 1);
   }
   return row_program_->EvalTrials(ps, row.values, trials, filter_root_,
                                   arg_root_base_, num_aggs, ev->trial_w.data(),
@@ -280,7 +279,8 @@ bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
 }
 
 void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
-                                RowEval* ev, ExprProgramState* prog_state) const {
+                                uint8_t* weights, RowEval* ev,
+                                ExprProgramState* prog_state) const {
   RefreshRow(row, charge_regeneration);
 
   // Classification with a buffered constraint sink: registrations are
@@ -308,6 +308,16 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   ev->constraints.clear();
   sink.ops = &ev->constraints;
   ev->truth = Classify(*row, &sink);
+
+  // Pack the row's bootstrap multiplicities once: the trial loops below
+  // and the certain-row flush read these bytes instead of re-hashing
+  // (row, trial) per aggregate.
+  ev->weights = nullptr;
+  if (block_->has_aggregate() && ev->truth != IntervalTruth::kAlwaysFalse &&
+      row->FromStream() && bootstrap_.num_trials() > 0) {
+    bootstrap_.Fill(row->stream_uid, weights);
+    ev->weights = weights;
+  }
 
   ev->pending_route =
       ev->truth != IntervalTruth::kAlwaysFalse &&
@@ -347,8 +357,7 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
   for (int t = 0; t < trials; ++t) {
     const double w =
-        row->weight *
-        (row->FromStream() ? bootstrap_.WeightAt(row->stream_uid, t) : 1);
+        row->weight * (ev->weights != nullptr ? ev->weights[t] : 1);
     if (w == 0.0) continue;
     ctx.trial = t;
     if (block_->filter != nullptr &&
@@ -411,23 +420,21 @@ void BlockExecutor::FlushDeferredTrials() {
   }
   const size_t num_aggs = block_->aggs.size();
   const auto flush_range = [&](size_t begin, size_t end, size_t /*lane*/) {
-    for (size_t i = begin; i < end; ++i) {
-      const int t = static_cast<int>(i);
-      // Certain rows first, then pending rows, each in serial-apply order.
-      // The two lists target disjoint accumulators (sketch vs. the batch
-      // scratch), so per-accumulator add order equals row order — the same
-      // order the pre-parallel engine produced.
-      for (const CertainTrialAdd& rec : deferred_certain_) {
-        const double w = rec.from_stream
-                             ? rec.weight * bootstrap_.WeightAt(rec.uid, t)
-                             : rec.weight;
-        rec.acc->AddTrialOnly(t, rec.v, w);
-      }
-      for (const PendingTrialAdd& rec : deferred_pending_) {
-        const RowEval& ev = row_scratch_[rec.eval_idx];
-        const double w = ev.trial_w[i];
-        if (w == 0.0) continue;
-        rec.acc->AddTrialOnly(t, ev.trial_vals[i * num_aggs + rec.agg], w);
+    // Certain rows first, then pending rows, each in serial-apply order.
+    // The two lists target disjoint accumulators (sketch vs. the batch
+    // scratch), so every (accumulator, trial) replica receives its adds in
+    // row order, whichever lane owns the trial.
+    const int t0 = static_cast<int>(begin);
+    const int t1 = static_cast<int>(end);
+    for (const CertainTrialAdd& rec : deferred_certain_) {
+      rec.acc->AddTrials(rec.v, rec.weight, rec.weights, t0, t1);
+    }
+    for (const PendingTrialAdd& rec : deferred_pending_) {
+      const RowEval& ev = row_scratch_[rec.eval_idx];
+      for (size_t i = begin; i < end; ++i) {
+        rec.acc->AddTrialOnly(static_cast<int>(i),
+                              ev.trial_vals[i * num_aggs + rec.agg],
+                              ev.trial_w[i]);
       }
     }
   };
@@ -447,7 +454,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
   if (ev.truth == IntervalTruth::kAlwaysFalse) return;
   if (!ev.pending_route) {
     if (block_->has_aggregate()) {
-      AccumulateCertain(row, batch, &sketch_);
+      AccumulateCertain(row, ev.weights, batch, &sketch_);
     } else {
       sink_rows_.push_back(std::move(row));
     }
@@ -512,6 +519,16 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   const size_t total_rows = num_fresh + pending_.size();
   row_scratch_.clear();
   row_scratch_.resize(total_rows);
+  // Row i's packed-multiplicity slot (only aggregate blocks fill one).
+  const size_t slot_bytes =
+      block_->has_aggregate() ? static_cast<size_t>(bootstrap_.num_trials())
+                              : 0;
+  if (row_weights_.size() < total_rows * slot_bytes) {
+    row_weights_.resize(total_rows * slot_bytes);
+  }
+  const auto weights_slot = [&](size_t i) {
+    return slot_bytes > 0 ? row_weights_.data() + i * slot_bytes : nullptr;
+  };
 
   // Sharded execution: route every row of the batch to its owner shard
   // (stable hash — a recovery replay routes identically) and ship the
@@ -565,7 +582,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     for (size_t i = begin; i < end; ++i) {
       ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
       EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                  &row_scratch_[i], prog_state);
+                  weights_slot(i), &row_scratch_[i], prog_state);
     }
   };
   if (sharded && shards_->size() > 1) {
@@ -580,7 +597,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
       for (const uint32_t i : shards_->shard(s).owned_rows()) {
         ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
         EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                    &row_scratch_[i], prog_state);
+                    weights_slot(i), &row_scratch_[i], prog_state);
       }
     };
     if (pool_ != nullptr) {

@@ -342,6 +342,10 @@ class BlockExecutor {
     bool pending_route = false;
     /// Main (trial = -1) filter decision of a pending-routed row.
     bool main_pass = false;
+    /// The row's packed bootstrap multiplicities (BootstrapWeights::Fill,
+    /// one byte per trial, in row_weights_); null when the row is not
+    /// streamed or contributes to no aggregate.
+    const uint8_t* weights = nullptr;
     Row key;                       // group key (aggregate blocks only)
     /// HashRow(key), computed during the parallel evaluation phase so the
     /// serial apply phase probes the group maps without re-hashing.
@@ -356,14 +360,14 @@ class BlockExecutor {
   };
 
   /// Deferred trial-replica contribution of a certain row: the same value
-  /// lands in every trial accumulator, weighted by the row's bootstrap
-  /// multiplicity. Flushed by FlushDeferredTrials, partitioned by trial.
+  /// lands in every trial replica, weighted by the row's packed bootstrap
+  /// multiplicities (null = weight in every trial). Flushed by
+  /// FlushDeferredTrials, partitioned by trial.
   struct CertainTrialAdd {
     TrialAccumulatorSet* acc;
     Value v;
     double weight;
-    uint64_t uid;
-    bool from_stream;
+    const uint8_t* weights;
   };
 
   /// Deferred trial-replica contribution of a pending row: values and
@@ -390,13 +394,15 @@ class BlockExecutor {
   /// caller replays them serially).
   IntervalTruth Classify(const ExecRow& row, RangeConstraintSink* sink) const;
 
-  /// Evaluation phase for one row: refresh, classify, and — when the row
-  /// routes to the non-deterministic path — the per-trial filter/argument
-  /// evaluations. Pure except for the in-place row refresh; safe to run
-  /// concurrently per row. `prog_state` is the caller's lane-private
-  /// compiled-program scratch (null = interpret).
-  void EvaluateRow(ExecRow* row, bool charge_regeneration, RowEval* ev,
-                   ExprProgramState* prog_state) const;
+  /// Evaluation phase for one row: refresh, classify, pack the row's
+  /// bootstrap multiplicities into `weights` (num_trials bytes, the row's
+  /// own slot) when it feeds an aggregate, and — when the row routes to the
+  /// non-deterministic path — the per-trial filter/argument evaluations.
+  /// Pure except for the in-place row refresh and the row's own slots;
+  /// safe to run concurrently per row. `prog_state` is the caller's
+  /// lane-private compiled-program scratch (null = interpret).
+  void EvaluateRow(ExecRow* row, bool charge_regeneration, uint8_t* weights,
+                   RowEval* ev, ExprProgramState* prog_state) const;
 
   /// Compiled fast path for the non-deterministic part of EvaluateRow:
   /// one Bind (prologue + batched aggregate probes) plus the per-trial
@@ -413,9 +419,10 @@ class BlockExecutor {
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Adds a certain row's aggregate contributions to `target`: main
-  /// accumulators immediately, trial replicas deferred to the flush.
-  void AccumulateCertain(const ExecRow& row, int batch,
-                         GroupedAggregateState* target)
+  /// replicas immediately, trial replicas deferred to the flush. `weights`
+  /// is the row's packed multiplicities (RowEval::weights).
+  void AccumulateCertain(const ExecRow& row, const uint8_t* weights,
+                         int batch, GroupedAggregateState* target)
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Applies a pending row's revocable contributions to `temp` from its
@@ -426,11 +433,11 @@ class BlockExecutor {
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Drains the deferred trial-replica adds, partitioned across the pool
-  /// by trial index: lanes own disjoint trial accumulators, and each
-  /// accumulator receives its adds in serial-apply (row) order, so the
-  /// result is bit-identical for every thread count. (Entered from the
-  /// serial phase; the internal fan-out mutates lane-disjoint accumulators
-  /// only.)
+  /// by trial index: lanes own disjoint trial replicas, and each replica
+  /// receives its adds in serial-apply (row) order, so the result is
+  /// bit-identical for every thread count. A certain row's record is one
+  /// range fold over the lane's trials. (Entered from the serial phase;
+  /// the internal fan-out mutates lane-disjoint replicas only.)
   void FlushDeferredTrials() IOLAP_REQUIRES(engine_serial_phase);
 
   /// Publishes sketch ∪ temp to the registry; returns rollback target or
@@ -520,6 +527,9 @@ class BlockExecutor {
   // pointers, which are stable: GroupCells live in a node-based map and
   // their `aggs` vectors are sized once at creation.
   std::vector<RowEval> row_scratch_;
+  /// Packed bootstrap multiplicities, num_trials bytes per evaluated row
+  /// (slot i belongs to row_scratch_[i]); grown, never shrunk.
+  std::vector<uint8_t> row_weights_;
   std::vector<CertainTrialAdd> deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;
 };

@@ -448,6 +448,10 @@ void QueryController::BuildResult(int batch) {
           ? 1.0
           : static_cast<double>(seen_rows_[batch]) /
                 std::max<size_t>(1, streamed_table_->num_rows());
+  // At full coverage the answer is Q(D), exact: the bootstrap replicas
+  // still spread (they resample D itself), but there is no uncertainty
+  // left to report.
+  const bool exact = result.fraction_processed == 1.0;
 
   if (top.has_aggregate()) {
     // Snapshot of this batch's aggregate output, sorted by group key for a
@@ -479,7 +483,9 @@ void QueryController::BuildResult(int batch) {
       for (size_t a = 0; a < top.aggs.size(); ++a) {
         const double v =
             group->main[a].is_null() ? 0.0 : group->main[a].AsDouble();
-        if (a < group->analytic_sd.size()) {
+        if (exact) {
+          row_estimates.push_back(EstimateFromStddev(v, 0.0));
+        } else if (a < group->analytic_sd.size()) {
           row_estimates.push_back(
               EstimateFromStddev(v, group->analytic_sd[a]));
         } else {
@@ -516,8 +522,9 @@ void QueryController::BuildResult(int batch) {
       std::vector<ErrorEstimate> row_estimates;
       for (int col : result.estimated_columns) {
         const Value& v = unsorted.row(r)[col];
-        row_estimates.push_back(
-            EstimateError(v.is_null() ? 0.0 : v.AsDouble(), trials[r][col]));
+        const double x = v.is_null() ? 0.0 : v.AsDouble();
+        row_estimates.push_back(exact ? EstimateFromStddev(x, 0.0)
+                                      : EstimateError(x, trials[r][col]));
       }
       result.estimates.push_back(std::move(row_estimates));
     }

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "bootstrap/error_estimate.h"
 #include "bootstrap/poisson_multiplicities.h"
 #include "bootstrap/trial_accumulator.h"
 #include "bootstrap/variation_range.h"
+#include "common/hash.h"
+#include "common/random.h"
 #include "core/aggregate.h"
 
 namespace iolap {
@@ -53,13 +57,69 @@ TEST(BootstrapWeightsTest, RowOverheadMatchesTrials) {
   EXPECT_EQ(BootstrapWeights(0, 64).RowOverheadBytes(), 64u);
 }
 
+TEST(BootstrapWeightsTest, FillEqualsWeightAt) {
+  for (int trials : {1, 20, 60, 100}) {
+    const BootstrapWeights weights(9, trials);
+    std::vector<uint8_t> packed(trials);
+    for (uint64_t uid : {0ull, 1ull, 77ull, 123456789ull, ~0ull >> 8}) {
+      weights.Fill(uid, packed.data());
+      for (int t = 0; t < trials; ++t) {
+        EXPECT_EQ(packed[t], weights.WeightAt(uid, t))
+            << "T=" << trials << " uid=" << uid << " t=" << t;
+      }
+    }
+  }
+}
+
+// The inverse CDF as a double-precision uniform compared against the
+// Poisson(1) CDF: the definition the integer thresholds must reproduce.
+constexpr double kOracleCdf[] = {
+    0.36787944117144233, 0.7357588823428847, 0.9196986029286058,
+    0.9810118431238462,  0.9963401531726563, 0.9994058151824183,
+    0.9999167588507119,  0.9999897508033253, 0.9999988747974020,
+};
+
+int PoissonOneDoubleCdf(uint64_t hash) {
+  const double u = static_cast<double>(hash >> 11) * 0x1.0p-53;
+  for (int k = 0; k < 9; ++k) {
+    if (u < kOracleCdf[k]) return k;
+  }
+  return 9;
+}
+
+TEST(PoissonThresholdTest, MatchesDoubleCdfOnIndices) {
+  int mismatches = 0;
+  for (uint64_t i = 0; i < 1000000; ++i) {
+    const uint64_t stream = 0xb0075742u ^ (i % 3);
+    mismatches += PoissonOneAt(stream, i) !=
+                  PoissonOneDoubleCdf(Mix64(HashCombine(stream, i)));
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(PoissonThresholdTest, MatchesDoubleCdfAtEveryThreshold) {
+  for (double cdf : kOracleCdf) {
+    const auto boundary = static_cast<uint64_t>(cdf * 0x1.0p53);
+    for (uint64_t bits = boundary - 1; bits <= boundary + 2; ++bits) {
+      for (uint64_t low : {0ull, 0x7ffull}) {
+        const uint64_t hash = (bits << 11) | low;
+        EXPECT_EQ(PoissonOneOfHash(hash), PoissonOneDoubleCdf(hash))
+            << "bits=" << bits;
+      }
+    }
+  }
+  EXPECT_EQ(PoissonOneOfHash(0), 0);
+  EXPECT_EQ(PoissonOneOfHash(~0ull), 9);
+}
+
 // ------------------------------------------------- TrialAccumulatorSet
 
 TEST(TrialAccumulatorTest, MainAndTrialsIndependent) {
   auto fn = MakeBuiltinAggFunction(AggKind::kSum);
   TrialAccumulatorSet acc(*fn, 3);
-  const int weights[3] = {0, 1, 2};
-  acc.Add(Value::Double(10), 1.0, weights);
+  const uint8_t weights[3] = {0, 1, 2};
+  acc.AddMainOnly(Value::Double(10), 1.0);
+  acc.AddTrials(Value::Double(10), 1.0, weights, 0, 3);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   ASSERT_EQ(trials.size(), 3u);
@@ -71,16 +131,19 @@ TEST(TrialAccumulatorTest, MainAndTrialsIndependent) {
 TEST(TrialAccumulatorTest, NullTrialWeightsMeanUniform) {
   auto fn = MakeBuiltinAggFunction(AggKind::kCount);
   TrialAccumulatorSet acc(*fn, 2);
-  acc.Add(Value::Int64(1), 2.0, nullptr);
+  acc.AddMainOnly(Value::Int64(1), 2.0);
+  acc.AddTrials(Value::Int64(1), 2.0, nullptr, 0, 2);
   for (double t : acc.TrialResults(1.0)) EXPECT_DOUBLE_EQ(t, 2.0);
 }
 
 TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
   auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
   TrialAccumulatorSet acc(*fn, 2);
-  // main value 10; trial replicas 8 and 12.
-  acc.AddPerTrial({Value::Double(10), Value::Double(8), Value::Double(12)},
-                  1.0, nullptr);
+  // main value 10; trial replicas 8 and 12 (uncertain aggregate inputs
+  // arrive per trial).
+  acc.AddMainOnly(Value::Double(10), 1.0);
+  acc.AddTrialOnly(0, Value::Double(8), 1.0);
+  acc.AddTrialOnly(1, Value::Double(12), 1.0);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 8.0);
@@ -101,15 +164,51 @@ TEST(TrialAccumulatorTest, AddMainOnlyAndTrialOnly) {
 TEST(TrialAccumulatorTest, CloneAndMerge) {
   auto fn = MakeBuiltinAggFunction(AggKind::kSum);
   TrialAccumulatorSet a(*fn, 2);
-  const int w[2] = {1, 1};
-  a.Add(Value::Double(1), 1.0, w);
+  const uint8_t w[2] = {1, 1};
+  a.AddMainOnly(Value::Double(1), 1.0);
+  a.AddTrials(Value::Double(1), 1.0, w, 0, 2);
   TrialAccumulatorSet b = a.Clone();
-  b.Add(Value::Double(2), 1.0, w);
+  b.AddMainOnly(Value::Double(2), 1.0);
+  b.AddTrials(Value::Double(2), 1.0, w, 0, 2);
   EXPECT_DOUBLE_EQ(a.MainResult(1.0).AsDouble(), 1.0);
   EXPECT_DOUBLE_EQ(b.MainResult(1.0).AsDouble(), 3.0);
   a.Merge(b);
   EXPECT_DOUBLE_EQ(a.MainResult(1.0).AsDouble(), 4.0);
   EXPECT_GT(a.ByteSize(), 0u);
+}
+
+// A range fold split across lanes equals the per-trial folds of the
+// engine's pending path, and TrialResults reads each replica with the
+// main-value fallback for empty trials.
+TEST(TrialAccumulatorTest, SplitRangeEqualsPerTrialAdds) {
+  constexpr int kTrials = 60;
+  auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
+  TrialAccumulatorSet split(*fn, kTrials);
+  TrialAccumulatorSet per_trial(*fn, kTrials);
+  const BootstrapWeights weights(5, kTrials);
+  std::vector<uint8_t> tw(kTrials);
+  for (uint64_t uid = 0; uid < 50; ++uid) {
+    weights.Fill(uid, tw.data());
+    const Value v = Value::Double(0.25 * static_cast<double>(uid) - 3.0);
+    split.AddMainOnly(v, 1.0);
+    per_trial.AddMainOnly(v, 1.0);
+    split.AddTrials(v, 1.0, tw.data(), 0, 17);
+    split.AddTrials(v, 1.0, tw.data(), 17, kTrials);
+    for (int t = 0; t < kTrials; ++t) {
+      per_trial.AddTrialOnly(t, v, 1.0 * weights.WeightAt(uid, t));
+    }
+  }
+  const std::vector<double> a = split.TrialResults(1.0);
+  const std::vector<double> b = per_trial.TrialResults(1.0);
+  ASSERT_EQ(a.size(), static_cast<size_t>(kTrials));
+  for (int t = 0; t < kTrials; ++t) EXPECT_EQ(a[t], b[t]) << "trial " << t;
+  EXPECT_EQ(split.ByteSize(), static_cast<size_t>(1 + kTrials) * 16);
+
+  TrialAccumulatorSet copy = split.Clone();
+  copy.Merge(per_trial);
+  const std::vector<double> merged = copy.TrialResults(1.0);
+  for (int t = 0; t < kTrials; ++t) EXPECT_EQ(merged[t], a[t]) << "trial " << t;
+  EXPECT_EQ(split.TrialResults(1.0), a);  // the clone is independent
 }
 
 // ------------------------------------------------------ ErrorEstimate

@@ -156,6 +156,109 @@ TEST(WorkloadModesTest, NestedQueriesExactUnderAllModes) {
   }
 }
 
+// Sums of stddev and of CI width over every estimate of one delivered
+// batch, for q1 (SUM/AVG/COUNT) and c8 (the geomean UDAF over pending rows).
+struct BatchUncertainty {
+  double fraction = 0.0;
+  double stddev_sum = 0.0;
+  double ci_width_sum = 0.0;
+};
+
+std::vector<BatchUncertainty> RunUncertainty(const std::string& id,
+                                             ErrorMethod method) {
+  const bool conviva = id[0] == 'c';
+  const BenchQuery query = conviva ? FindConvivaQuery(id) : FindTpchQuery(id);
+  auto catalog = conviva ? SmallConviva() : SmallTpch(query.streamed_table);
+  EXPECT_TRUE(catalog.ok());
+  EngineOptions options;
+  options.error_method = method;
+  options.num_trials = 16;
+  options.num_batches = 5;
+  options.seed = 77;
+  Session session(catalog->get(), options, BenchFunctions());
+  auto compiled = session.Sql(query.sql);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  std::vector<BatchUncertainty> batches;
+  const Status status =
+      (*compiled)->Run([&](const PartialResult& partial) {
+        BatchUncertainty b;
+        b.fraction = partial.fraction_processed;
+        for (size_t r = 0; r < partial.estimates.size(); ++r) {
+          for (size_t k = 0; k < partial.estimates[r].size(); ++k) {
+            const ErrorEstimate& est = partial.estimates[r][k];
+            const Value& v =
+                partial.rows.row(r)[partial.estimated_columns[k]];
+            if (partial.fraction_processed == 1.0) {
+              EXPECT_EQ(est.stddev, 0.0) << id << " row " << r;
+              EXPECT_EQ(est.rel_stddev, 0.0) << id << " row " << r;
+              EXPECT_EQ(est.ci_lo, v.is_null() ? 0.0 : v.AsDouble());
+              EXPECT_EQ(est.ci_hi, v.is_null() ? 0.0 : v.AsDouble());
+            }
+            b.stddev_sum += est.stddev;
+            b.ci_width_sum += est.ci_hi - est.ci_lo;
+          }
+        }
+        batches.push_back(b);
+        return BatchAction::kContinue;
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  return batches;
+}
+
+// At full coverage the answer is exact, so both error methods report
+// stddev 0 and CI [v, v]; every earlier batch keeps the uncertainty it
+// reported before that rule existed (reference sums below, recorded from
+// that code on this configuration).
+TEST(FullCoverageTest, UncertaintyIsZeroOnlyAtFullCoverage) {
+  struct Case {
+    const char* id;
+    ErrorMethod method;
+    std::vector<std::pair<double, double>> earlier;  // stddev, CI width
+  };
+  const Case cases[] = {
+      {"q1",
+       ErrorMethod::kBootstrap,
+       {{2477910.4972634255, 7909780.7702749977},
+        {1738704.5408447487, 5642825.6413905481},
+        {1384695.9259846492, 4466965.0402870327},
+        {1275940.8980666588, 3954698.2164763017}}},
+      {"q1",
+       ErrorMethod::kAnalytic,
+       {{1226769.2928260174, 4808935.6278779879},
+        {755840.15007876861, 2962893.3883087719},
+        {499537.55567523866, 1958187.2182469347},
+        {307017.78885759326, 1203509.7323217664}}},
+      {"c8",
+       ErrorMethod::kBootstrap,
+       {{0.091332000991009826, 0.30687663848928537},
+        {0.040212293864224931, 0.13851934915235864},
+        {0.043017685460341071, 0.13692386478775531},
+        {0.040067387127756697, 0.13195134021928356}}},
+      // geomean has no closed form: analytic mode reports no spread.
+      {"c8", ErrorMethod::kAnalytic, {{0, 0}, {0, 0}, {0, 0}, {0, 0}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.id) +
+                 (c.method == ErrorMethod::kAnalytic ? " analytic"
+                                                     : " bootstrap"));
+    const std::vector<BatchUncertainty> batches =
+        RunUncertainty(c.id, c.method);
+    ASSERT_EQ(batches.size(), c.earlier.size() + 1);
+    for (size_t b = 0; b < c.earlier.size(); ++b) {
+      EXPECT_LT(batches[b].fraction, 1.0);
+      EXPECT_NEAR(batches[b].stddev_sum, c.earlier[b].first,
+                  1e-9 * c.earlier[b].first)
+          << "batch " << b;
+      EXPECT_NEAR(batches[b].ci_width_sum, c.earlier[b].second,
+                  1e-9 * c.earlier[b].second)
+          << "batch " << b;
+    }
+    EXPECT_EQ(batches.back().fraction, 1.0);
+    EXPECT_EQ(batches.back().stddev_sum, 0.0);
+    EXPECT_EQ(batches.back().ci_width_sum, 0.0);
+  }
+}
+
 // Generator sanity: scaled configs, schema shape, reproducibility.
 TEST(GeneratorTest, TpchShapes) {
   TpchConfig config;
