@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "bench_util.h"
 #include "bootstrap/poisson_multiplicities.h"
 #include "bootstrap/trial_accumulator.h"
@@ -12,6 +15,7 @@
 #include "exec/expr_program.h"
 #include "exec/hash_aggregate.h"
 #include "exec/operators.h"
+#include "iolap/delta_engine.h"
 #include "workloads/experiment_driver.h"
 
 namespace iolap {
@@ -165,7 +169,7 @@ void BM_PoissonWeights(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * trials);
 }
-BENCHMARK(BM_PoissonWeights)->Arg(20)->Arg(100);
+BENCHMARK(BM_PoissonWeights)->Arg(20)->Arg(60)->Arg(100);
 
 // Folding one tuple into a sketch across all bootstrap trials (the main
 // replica plus one range fold over packed uint8 Poisson weights): the
@@ -185,8 +189,8 @@ void BM_TrialAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_TrialAccumulate)->Arg(0)->Arg(20)->Arg(100);
 
-// Checkpoint clone of one sketch cell (one AVG over one group with all its
-// trial replicas): what MakeCheckpoint pays per (group, aggregate).
+// Copy of one sketch cell (one AVG over one group with all its trial
+// replicas): what the first touch of a frozen cell pays per aggregate.
 void BM_SketchClone(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
   auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
@@ -201,6 +205,50 @@ void BM_SketchClone(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SketchClone)->Arg(100);
+
+// One batch's checkpoint of a 4096-group, 60-trial AVG sketch with Arg% of
+// the groups touched since the previous capture: the copy-on-write clones
+// of the touched cells, Capture (hashing the reopened cells, one pointer
+// per group), ChecksumCheckpoint, and eviction from an 8-entry ring.
+void BM_Checkpoint(benchmark::State& state) {
+  constexpr int kGroups = 4096;
+  constexpr int kTrials = 60;
+  const int touched = std::max(1, kGroups * static_cast<int>(state.range(0)) / 100);
+  std::vector<AggSpec> specs;
+  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kAvg),
+                          Col(0, "x", ValueType::kDouble), "a"});
+  GroupedAggregateState sketch(&specs, kTrials);
+  std::vector<uint8_t> weights(kTrials);
+  BootstrapWeights(42, kTrials).Fill(7, weights.data());
+  std::vector<Row> keys;
+  for (int g = 0; g < kGroups; ++g) keys.push_back({Value::Int64(g)});
+  const auto touch = [&](int g, int batch) {
+    auto& cells = sketch.GetOrCreate(keys[g], batch);
+    cells.last_touched = batch;
+    cells.aggs[0].AddMainOnly(Value::Double(g), 1.0);
+    cells.aggs[0].AddTrials(Value::Double(g), 1.0, weights.data(), 0, kTrials);
+  };
+  for (int g = 0; g < kGroups; ++g) touch(g, 0);
+  std::deque<BlockExecutor::Checkpoint> ring;
+  int batch = 0;
+  int next = 0;
+  for (auto _ : state) {
+    ++batch;
+    for (int i = 0; i < touched; ++i) {
+      touch(next, batch);
+      next = (next + 1) % kGroups;
+    }
+    BlockExecutor::Checkpoint cp;
+    cp.batch = batch;
+    cp.sketch = sketch.Capture();
+    cp.checksum = BlockExecutor::ChecksumCheckpoint(cp);
+    ring.push_back(std::move(cp));
+    if (ring.size() > 8) ring.pop_front();
+    benchmark::DoNotOptimize(ring.back().checksum);
+  }
+  state.SetItemsProcessed(state.iterations() * kGroups);
+}
+BENCHMARK(BM_Checkpoint)->Arg(1)->Arg(15)->Arg(100);
 
 // Incremental hash-join probe (dimension-cache lookup).
 void BM_JoinProbe(benchmark::State& state) {

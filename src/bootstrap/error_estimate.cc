@@ -13,6 +13,96 @@ std::string ErrorEstimate::ToString() const {
   return buf;
 }
 
+namespace {
+
+/// The total order percentiles are taken in: -inf < finite < +inf < NaN.
+/// Plain `<` is no strict weak ordering once a replica is NaN (SUM over
+/// +inf and -inf inputs), which std::sort requires.
+bool NanLast(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
+/// Linear-interpolation percentile p of n sorted values: the value at rank
+/// lo weighted (1 - frac) plus the value at rank hi weighted frac.
+struct PercentileRanks {
+  size_t lo;
+  size_t hi;
+  double frac;
+};
+
+PercentileRanks RanksOf(double p, size_t n) {
+  const double pos = p * (n - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - lo};
+}
+
+double Interpolate(double at_lo, double at_hi, double frac) {
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+/// Largest selection kept in insertion-sorted buffers; beyond it (about
+/// 600 replicas) nth_element wins.
+constexpr size_t kMaxBufferedRanks = 16;
+
+/// Inserts `x` into `buf`, which holds the `*count` (at most `cap`) values
+/// that come first under `before`, in that order.
+template <typename Before>
+void KeepFirst(double x, double* buf, size_t* count, size_t cap,
+               Before before) {
+  size_t i = *count;
+  if (i == cap) {
+    if (!before(x, buf[cap - 1])) return;
+    --i;
+  } else {
+    ++*count;
+  }
+  for (; i > 0 && before(x, buf[i - 1]); --i) buf[i] = buf[i - 1];
+  buf[i] = x;
+}
+
+/// Sets ci_lo / ci_hi to the 2.5 / 97.5 percentiles of `trials` (n >= 2)
+/// without sorting: one pass keeps the few smallest and largest replicas
+/// the two percentiles read.
+void PercentileInterval(const std::vector<double>& trials, ErrorEstimate* est) {
+  const size_t n = trials.size();
+  const PercentileRanks low = RanksOf(0.025, n);
+  const PercentileRanks high = RanksOf(0.975, n);
+  const size_t num_small = low.hi + 1;  // ranks 0 .. low.hi
+  const size_t num_large = n - high.lo;  // ranks high.lo .. n - 1
+  if (std::max(num_small, num_large) <= kMaxBufferedRanks) {
+    double small[kMaxBufferedRanks];
+    double large[kMaxBufferedRanks];  // large[j] holds rank n - 1 - j
+    size_t small_count = 0;
+    size_t large_count = 0;
+    const auto after = [](double a, double b) { return NanLast(b, a); };
+    for (double x : trials) {
+      KeepFirst(x, small, &small_count, num_small, NanLast);
+      KeepFirst(x, large, &large_count, num_large, after);
+    }
+    est->ci_lo = Interpolate(small[low.lo], small[low.hi], low.frac);
+    est->ci_hi = Interpolate(large[n - 1 - high.lo], large[n - 1 - high.hi],
+                             high.frac);
+    return;
+  }
+  std::vector<double> v = trials;
+  const auto rank = [&v](size_t r) {
+    std::nth_element(v.begin(), v.begin() + r, v.end(), NanLast);
+    return v[r];
+  };
+  // After nth_element(r), rank r + 1 is the least element past r.
+  const auto next_rank = [&v](size_t r) {
+    return *std::min_element(v.begin() + r + 1, v.end(), NanLast);
+  };
+  const double low_lo = rank(low.lo);
+  const double low_hi = low.hi == low.lo ? low_lo : next_rank(low.lo);
+  const double high_lo = rank(high.lo);
+  const double high_hi = high.hi == high.lo ? high_lo : next_rank(high.lo);
+  est->ci_lo = Interpolate(low_lo, low_hi, low.frac);
+  est->ci_hi = Interpolate(high_lo, high_hi, high.frac);
+}
+
+}  // namespace
+
 ErrorEstimate EstimateError(double value, const std::vector<double>& trials) {
   ErrorEstimate est;
   est.value = value;
@@ -28,18 +118,7 @@ ErrorEstimate EstimateError(double value, const std::vector<double>& trials) {
   est.stddev = std::sqrt(ss / (trials.size() - 1));
   est.rel_stddev = value != 0.0 ? est.stddev / std::fabs(value) : est.stddev;
 
-  // Percentile CI.
-  std::vector<double> sorted = trials;
-  std::sort(sorted.begin(), sorted.end());
-  auto percentile = [&sorted](double p) {
-    const double pos = p * (sorted.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - lo;
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  };
-  est.ci_lo = percentile(0.025);
-  est.ci_hi = percentile(0.975);
+  PercentileInterval(trials, &est);
   return est;
 }
 

@@ -24,8 +24,9 @@ class BootstrapWeights {
   int WeightAt(uint64_t uid, int trial) const;
 
   /// Packs row `uid`'s multiplicities for every trial: out[t] =
-  /// WeightAt(uid, t) for t in [0, num_trials). The engine fills this once
-  /// per streamed row and every aggregate and trial of the row reads it.
+  /// WeightAt(uid, t) for t in [0, num_trials), drawn through the
+  /// PoissonOneByTable lookup. The engine fills this once per streamed row
+  /// and every aggregate and trial of the row reads it.
   void Fill(uint64_t uid, uint8_t* out) const;
 
   /// Approximate extra bytes the bootstrap multiplicity columns add to one

@@ -1,6 +1,8 @@
 #ifndef IOLAP_COMMON_RANDOM_H_
 #define IOLAP_COMMON_RANDOM_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/hash.h"
@@ -89,6 +91,39 @@ inline int PoissonOneOfHash(uint64_t hash) {
   int k = 0;
   for (uint64_t threshold : kPoissonOneThresholds) k += bits >= threshold;
   return k;
+}
+
+/// PoissonOneOfHash by table lookup on the top kPoissonTableBits of the
+/// hash. Bucket b covers the 53-bit values [b << 41, (b + 1) << 41); its
+/// entry is the draw all of them map to, or kPoissonStraddle for the
+/// buckets a threshold falls inside (the last three thresholds share one
+/// bucket, so 7 of the 4096 straddle).
+inline constexpr int kPoissonTableBits = 12;
+inline constexpr uint8_t kPoissonStraddle = 0xff;
+
+constexpr std::array<uint8_t, size_t{1} << kPoissonTableBits>
+MakePoissonOneTable() {
+  std::array<uint8_t, size_t{1} << kPoissonTableBits> table{};
+  constexpr int kBucketShift = 53 - kPoissonTableBits;
+  const auto draw = [](uint64_t bits) {
+    uint8_t k = 0;
+    for (uint64_t threshold : kPoissonOneThresholds) k += bits >= threshold;
+    return k;
+  };
+  for (uint64_t b = 0; b < table.size(); ++b) {
+    const uint64_t first = b << kBucketShift;
+    const uint64_t last = first | ((uint64_t{1} << kBucketShift) - 1);
+    table[b] = draw(first) == draw(last) ? draw(first) : kPoissonStraddle;
+  }
+  return table;
+}
+
+inline constexpr auto kPoissonOneTable = MakePoissonOneTable();
+
+/// Same result as PoissonOneOfHash(hash) for every hash.
+inline int PoissonOneByTable(uint64_t hash) {
+  const uint8_t k = kPoissonOneTable[hash >> (64 - kPoissonTableBits)];
+  return k != kPoissonStraddle ? k : PoissonOneOfHash(hash);
 }
 
 /// Stateless Poisson(1) draw keyed by (stream, index). The poissonized

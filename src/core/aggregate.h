@@ -61,7 +61,8 @@ class AggAccumulator {
   /// GEOMEAN, ...).
   virtual Value Result(int r, double scale) const = 0;
 
-  /// Deep copy, for per-batch state checkpoints (failure recovery, §5.1).
+  /// Deep copy: the copy-on-write clone of a checkpointed sketch cell
+  /// (failure recovery, §5.1) and the sketch ⊎ scratch merge at publish.
   virtual std::unique_ptr<AggAccumulator> Clone() const = 0;
 
   /// Approximate state footprint for the memory-utilization experiments:

@@ -1,6 +1,7 @@
 #ifndef IOLAP_EXEC_HASH_AGGREGATE_H_
 #define IOLAP_EXEC_HASH_AGGREGATE_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -15,9 +16,19 @@ namespace iolap {
 /// aggregate block in the delta engine — the persistent sketch fed only by
 /// near-deterministic tuples, and a per-batch scratch instance holding the
 /// revocable contribution of the non-deterministic set.
+///
+/// Checkpoints share cells with the live state instead of copying them
+/// (copy-on-write). A cell is *open* from its creation until the next
+/// Capture, which *freezes* it: its content hash and byte size are cached
+/// and it never changes again. The first GetOrCreate of a frozen cell in a
+/// later batch replaces it in the live map by an open copy, so every
+/// snapshot that holds the frozen cell keeps reading its old contents. A
+/// capture therefore hashes only the cells opened since the previous one,
+/// and the snapshot itself is one pointer per group.
 class GroupedAggregateState {
  public:
   struct GroupCells {
+    Row key;
     std::vector<TrialAccumulatorSet> aggs;
     /// Batch in which the group first appeared (for failure-recovery
     /// rollbacks and registry bookkeeping).
@@ -25,18 +36,38 @@ class GroupedAggregateState {
     /// Batch in which the group last received a contribution. Publication
     /// re-materializes trial replicas only for touched groups.
     int last_touched = -1;
+    /// Set by Capture; the cell is immutable from then on.
+    bool frozen = false;
+    /// ContentHash() and ComputeByteSize(), cached when the cell freezes.
+    uint64_t content_hash = 0;
+    size_t byte_size = 0;
+
+    /// Hash of everything a restore replays from this cell: key, first
+    /// batch and the accumulator *results* (the bits publication reads),
+    /// so it does not depend on the accumulator representation.
+    uint64_t ContentHash() const;
+    /// Approximate footprint (key + first-batch tag + accumulators).
+    size_t ComputeByteSize() const;
   };
 
-  using GroupMap = std::unordered_map<Row, GroupCells, RowHash, RowEq>;
-
-  /// Default instance usable only as an assignment target (checkpoints).
-  GroupedAggregateState() = default;
+  using GroupMap =
+      std::unordered_map<Row, std::shared_ptr<GroupCells>, RowHash, RowEq>;
+  /// A captured sketch: frozen cells in the live map's iteration order.
+  using Snapshot = std::vector<std::shared_ptr<const GroupCells>>;
 
   GroupedAggregateState(const std::vector<AggSpec>* specs, int num_trials)
       : specs_(specs), num_trials_(num_trials) {}
 
-  /// Returns (creating if needed) the cells for `key`. `created` (optional)
-  /// reports whether the group is new.
+  // A copy would share the open cells with the original and let both
+  // mutate them; snapshots go through Capture / Restore instead.
+  GroupedAggregateState(const GroupedAggregateState&) = delete;
+  GroupedAggregateState& operator=(const GroupedAggregateState&) = delete;
+  GroupedAggregateState(GroupedAggregateState&&) = default;
+  GroupedAggregateState& operator=(GroupedAggregateState&&) = default;
+
+  /// Returns (creating if needed) the mutable cells for `key`, replacing a
+  /// frozen cell by an open copy first. `created` (optional) reports
+  /// whether the group is new. The only mutation path into the cells.
   GroupCells& GetOrCreate(const Row& key, int batch, bool* created = nullptr);
 
   /// Same, with a precomputed HashRow(key): probes via heterogeneous lookup
@@ -58,22 +89,37 @@ class GroupedAggregateState {
   const GroupMap& groups() const { return groups_; }
   size_t num_groups() const { return groups_.size(); }
 
-  void Clear() { groups_.clear(); }
+  void Clear();
 
-  /// Deep copy, for per-batch checkpoints.
-  GroupedAggregateState Clone() const;
+  /// Freezes every open cell and returns the whole sketch as shared
+  /// pointers. Work beyond the pointer copies is proportional to the cells
+  /// opened since the previous capture.
+  Snapshot Capture();
 
-  /// Drops groups created after `batch` (rollback). Accumulator contents of
-  /// surviving groups are NOT rewound here; rollback restores them from a
-  /// checkpoint clone instead.
-  void DropGroupsAfter(int batch);
+  /// Replaces the live state by `snapshot`'s cells, rebuilding the map in
+  /// two pre-sized passes: the snapshot's order into a staging map, then
+  /// the staging map's order into the live one. The iteration order this
+  /// produces fixes the order a replay publishes groups and emits them
+  /// downstream in, which floating-point sums downstream depend on, so it
+  /// is part of the recovery's determinism contract (one pass would
+  /// iterate differently).
+  void Restore(const Snapshot& snapshot);
 
+  /// Running total: the cached sizes of frozen cells plus a recount of the
+  /// open ones.
   size_t ByteSize() const;
 
  private:
+  /// Makes `slot`'s cell mutable: a frozen cell is replaced by an open copy.
+  GroupCells& Open(std::shared_ptr<GroupCells>& slot);
+
   const std::vector<AggSpec>* specs_ = nullptr;
   int num_trials_ = 0;
   GroupMap groups_;
+  /// Cells created or cloned since the last capture (each listed once).
+  std::vector<GroupCells*> open_;
+  /// Σ byte_size over the frozen cells in groups_.
+  size_t frozen_bytes_ = 0;
 };
 
 }  // namespace iolap

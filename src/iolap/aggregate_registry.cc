@@ -45,9 +45,27 @@ void AggregateRegistry::SetBlockScale(int block, double scale) {
   relations_[block].scale = scale;
 }
 
+size_t AggregateRegistry::ValueBytes(const Entry& entry) {
+  size_t total = 0;
+  for (const Value& v : entry.main) total += v.ByteSize();
+  for (const auto& trials : entry.trials) {
+    total += trials.size() * sizeof(double);
+  }
+  return total;
+}
+
+size_t AggregateRegistry::TrackerBytes(const Entry& entry) {
+  size_t total = 0;
+  for (const VariationRangeTracker& tracker : entry.ranges) {
+    total += tracker.ByteSize();
+  }
+  return total;
+}
+
 void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
                                     Entry& entry, int batch,
                                     PublishResult* result) {
+  rel.tracker_bytes -= TrackerBytes(entry);
   for (size_t a = 0; a < entry.ranges.size(); ++a) {
     const double s = ColScale(rel, a);
     const double v =
@@ -88,6 +106,7 @@ void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
       if (target < 0) result->rollback_to = -1;
     }
   }
+  rel.tracker_bytes += TrackerBytes(entry);
 }
 
 AggregateRegistry::PublishResult AggregateRegistry::Publish(
@@ -106,9 +125,14 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     if (fc != rel.failure_counts.end() && fc->second >= 3) {
       entry.range_disabled = true;
     }
+    rel.bytes += RowByteSize(key);
+    rel.tracker_bytes += TrackerBytes(entry);
+  } else {
+    rel.bytes -= ValueBytes(entry);
   }
   entry.main = std::move(main);
   entry.trials = std::move(trials);
+  rel.bytes += ValueBytes(entry);
   // Unscaled replica envelopes for later Refresh()es.
   const size_t num_aggs = entry.main.size();
   entry.env_lo.assign(num_aggs, 0.0);
@@ -219,13 +243,16 @@ void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
     rel.memo_epoch = NextMemoEpoch();  // erase invalidates memoized pointers
     for (auto it = rel.entries.begin(); it != rel.entries.end();) {
       Entry& entry = it->second;
+      rel.tracker_bytes -= TrackerBytes(entry);
       if (entry.first_batch > batch) {
+        rel.bytes -= RowByteSize(it->first) + ValueBytes(entry);
         it = rel.entries.erase(it);
         continue;
       }
       for (VariationRangeTracker& tracker : entry.ranges) {
         tracker.RecoverTo(batch - entry.first_batch, freeze_updates);
       }
+      rel.tracker_bytes += TrackerBytes(entry);
       ++it;
     }
   }
@@ -246,19 +273,6 @@ size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
 }
 
-size_t AggregateRegistry::RelationBytes(int block) const {
-  const Relation& rel = relations_[block];
-  size_t total = 0;
-  for (const auto& [key, entry] : rel.entries) {
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
-  }
-  return total;
-}
-
 size_t AggregateRegistry::ShardGroupCount(int block, size_t shard,
                                           size_t num_shards) const {
   size_t count = 0;
@@ -273,23 +287,14 @@ size_t AggregateRegistry::ShardRelationBytes(int block, size_t shard,
   size_t total = 0;
   for (const auto& [key, entry] : relations_[block].entries) {
     if (ShardOfHash(HashRow(key), num_shards) != shard) continue;
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
+    total += RowByteSize(key) + ValueBytes(entry);
   }
   return total;
 }
 
 size_t AggregateRegistry::TotalBytes() const {
   size_t total = 0;
-  for (size_t b = 0; b < relations_.size(); ++b) {
-    total += RelationBytes(static_cast<int>(b));
-    for (const auto& [key, entry] : relations_[b].entries) {
-      for (const auto& tracker : entry.ranges) total += tracker.ByteSize();
-    }
-  }
+  for (const Relation& rel : relations_) total += rel.bytes + rel.tracker_bytes;
   return total;
 }
 

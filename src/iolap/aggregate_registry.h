@@ -107,8 +107,10 @@ class AggregateRegistry final : public AggLookupResolver,
 
   /// Approximate bytes of `block`'s published relation (key + replicated
   /// values): the per-batch broadcast payload of the lazy-evaluation join.
-  size_t RelationBytes(int block) const;
+  /// A running counter, kept on publish and erase.
+  size_t RelationBytes(int block) const { return relations_[block].bytes; }
 
+  /// Every relation plus its variation-range trackers (running counters).
   size_t TotalBytes() const;
 
   /// Shard slices of a block's published relation, partitioned by group-key
@@ -181,12 +183,20 @@ class AggregateRegistry final : public AggLookupResolver,
     // pointers are otherwise stable (node-based map), so inserts need no
     // bump.
     uint64_t memo_epoch = 0;
+    /// Σ over entries of RowByteSize(key) + ValueBytes(entry), and of
+    /// their trackers' ByteSize(): what RelationBytes / TotalBytes report.
+    size_t bytes = 0;
+    size_t tracker_bytes = 0;
     // Integrity failures charged per group. Deliberately NOT rolled back:
     // a failure recovery erases entries created after the recovery point,
     // and without the persistent count a chronically misbehaving value
     // would be recreated with a clean slate and fail identically forever.
     std::unordered_map<Row, int, RowHash, RowEq> failure_counts;
   };
+
+  /// Bytes of an entry's published values (main + trial replicas).
+  static size_t ValueBytes(const Entry& entry);
+  static size_t TrackerBytes(const Entry& entry);
 
   const Entry* FindEntry(int block, const Row& key) const;
   /// Mutable tracker access for constraint registration; null when the
@@ -204,6 +214,9 @@ class AggregateRegistry final : public AggLookupResolver,
   /// seams (registry-envelope-fault keys its schedule on it).
   void CheckRanges(Relation& rel, const Row& key, Entry& entry, int batch,
                    PublishResult* result) IOLAP_REQUIRES(engine_serial_phase);
+
+  /// Rescans the private state from scratch (tests/checkpoint_test.cc).
+  friend class CheckpointTestPeer;
 
   double slack_;
   std::vector<Relation> relations_;  // indexed by block id

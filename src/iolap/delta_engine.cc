@@ -456,6 +456,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
     if (block_->has_aggregate()) {
       AccumulateCertain(row, ev.weights, batch, &sketch_);
     } else {
+      sink_bytes_ += row.ByteSize();
       sink_rows_.push_back(std::move(row));
     }
     return;
@@ -463,6 +464,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
   // Non-deterministic (or permanently unsketchable): contributes revocably
   // this batch and is saved for re-evaluation in the next one.
   ApplyPending(row, eval_idx, batch, temp);
+  pending_bytes_ += row.ByteSize();
   new_pending->push_back(std::move(row));
 }
 
@@ -478,6 +480,9 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     pending_.clear();
     emitted_order_.clear();
     emitted_set_.clear();
+    sink_bytes_ = 0;
+    pending_bytes_ = 0;
+    emitted_bytes_ = 0;
     stats->recomputed_rows += input_deltas[0].size();
   } else {
     for (const RowBatch& delta : input_deltas) {
@@ -674,6 +679,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   // runtime) is what lets Clang verify that none of the mutation below is
   // reachable from the parallel evaluation lambdas above.
   ScopedThreadRole serial_phase(engine_serial_phase);
+  pending_bytes_ = 0;  // RouteRow recounts the new pending set
   for (size_t i = 0; i < total_rows; ++i) {
     for (const ConstraintOp& op : row_scratch_[i].constraints) {
       switch (op.kind) {
@@ -779,10 +785,10 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     work.push_back({&key, sketch_cells, temp_cells, dirty, {}, {}, {}, {}});
   };
   for (const auto& [key, cells] : sketch_.groups()) {
-    add_work(key, &cells, temp.Find(key));
+    add_work(key, cells.get(), temp.Find(key));
   }
   for (const auto& [key, cells] : temp.groups()) {
-    if (sketch_.Find(key) == nullptr) add_work(key, nullptr, &cells);
+    if (sketch_.Find(key) == nullptr) add_work(key, nullptr, cells.get());
   }
 
   // Materializes a dirty group's unscaled results (and, when collecting,
@@ -915,6 +921,7 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     if (feeds_join_ && emitted_set_.find(*w.key) == emitted_set_.end()) {
       emitted_set_.insert(*w.key);
       emitted_order_.push_back(*w.key);
+      emitted_bytes_ += RowByteSize(*w.key);
       ExecRow out;
       out.values = *w.key;
       for (size_t a = 0; a < w.main.size(); ++a) {
@@ -1061,27 +1068,26 @@ size_t BlockExecutor::JoinStateBytes() const {
 }
 
 size_t BlockExecutor::OtherStateBytes() const {
-  size_t total = sketch_.ByteSize();
-  total += BatchByteSize(pending_);
-  total += BatchByteSize(sink_rows_);
-  for (const Row& key : emitted_order_) total += RowByteSize(key);
-  return total;
+  return sketch_.ByteSize() + pending_bytes_ + sink_bytes_ + emitted_bytes_;
 }
 
 std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
-    int batch) const {
+    int batch) {
   auto cp = std::make_shared<Checkpoint>();
   cp->batch = batch;
   cp->join_marks.reserve(join_steps_.size());
   for (const JoinStep& step : join_steps_) {
     cp->join_marks.push_back(step.watermark());
   }
-  cp->pending = pending_;
-  cp->sketch = sketch_.Clone();
-  cp->sink_watermark = sink_rows_.size();
-  cp->emitted_watermark = emitted_order_.size();
-  // Checksum the clone, not the live state: restore verifies exactly the
-  // object it is about to replay.
+  if (!stateless_) {
+    cp->pending = pending_;
+    cp->sketch = sketch_.Capture();
+    cp->sink_watermark = sink_rows_.size();
+    cp->emitted_watermark = emitted_order_.size();
+    cp->pending_bytes = pending_bytes_;
+    cp->sink_bytes = sink_bytes_;
+    cp->emitted_bytes = emitted_bytes_;
+  }
   cp->checksum = ChecksumCheckpoint(*cp);
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointCaptureCorrupt, batch)) {
     cp->checksum ^= 1;  // simulated bit-rot between capture and restore
@@ -1117,16 +1123,23 @@ std::vector<uint64_t> BlockExecutor::ShardSliceChecksums(
   return slices;
 }
 
-size_t BlockExecutor::Checkpoint::ByteSize() const {
+size_t BlockExecutor::Checkpoint::ByteSize(
+    std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
+    const {
   size_t total = sizeof(Checkpoint);
   total += join_marks.size() * sizeof(JoinStep::Watermark);
-  total += BatchByteSize(pending);
-  total += sketch.ByteSize();
+  total += pending_bytes;
+  for (const auto& cell : sketch) {
+    if (counted->insert(cell.get()).second) {
+      total += cell->byte_size;
+    }
+  }
   total += shard_checksums.size() * sizeof(uint64_t);
   return total;
 }
 
-uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint) {
+uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint,
+                                           bool recompute_cells) {
   // Scalars and ordered containers fold order-sensitively.
   uint64_t h = HashCombine(0, static_cast<uint64_t>(checkpoint.batch));
   for (const JoinStep::Watermark& mark : checkpoint.join_marks) {
@@ -1140,33 +1153,23 @@ uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint) {
   }
   h = HashCombine(h, checkpoint.sink_watermark);
   h = HashCombine(h, checkpoint.emitted_watermark);
-  // The sketch map iterates in unspecified order, so group hashes combine
-  // through a commutative wrapping sum. Hashing accumulator *results* (the
-  // bits a restore replays into publication) rather than raw internals
-  // keeps the checksum independent of accumulator representation.
-  uint64_t group_sum = 0;
-  for (const auto& [key, cells] : checkpoint.sketch.groups()) {
-    uint64_t g = HashCombine(HashRow(key),
-                             static_cast<uint64_t>(cells.first_batch));
-    for (const TrialAccumulatorSet& acc : cells.aggs) {
-      const Value main = acc.MainResult(1.0);
-      g = HashCombine(g, main.is_null() ? 0x9e3779b97f4a7c15ULL : main.Hash());
-      for (double trial : acc.TrialResults(1.0)) {
-        g = HashCombine(g, DoubleBits(trial));
-      }
-      g = HashCombine(g, DoubleBits(acc.moment_count()));
-      g = HashCombine(g, DoubleBits(acc.moment_variance()));
-    }
-    group_sum += Mix64(g);
+  // Cells combine through a commutative wrapping sum, so the order they
+  // were captured in cannot matter.
+  uint64_t cell_sum = 0;
+  for (const auto& cell : checkpoint.sketch) {
+    cell_sum += recompute_cells ? cell->ContentHash() : cell->content_hash;
   }
-  return HashCombine(h, group_sum);
+  return HashCombine(h, cell_sum);
 }
 
 bool BlockExecutor::VerifyCheckpoint(const Checkpoint& checkpoint) {
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, checkpoint.batch)) {
     return false;  // simulated corruption detected at restore time
   }
-  if (ChecksumCheckpoint(checkpoint) != checkpoint.checksum) return false;
+  if (ChecksumCheckpoint(checkpoint, /*recompute_cells=*/true) !=
+      checkpoint.checksum) {
+    return false;
+  }
   // Consistent cut: the checkpoint is durable only when every shard's
   // slice checksum verifies — one rotten slice condemns the whole cut.
   return ShardSliceChecksums(checkpoint, checkpoint.shard_checksums.size()) ==
@@ -1178,11 +1181,14 @@ void BlockExecutor::Restore(const Checkpoint& checkpoint) {
     join_steps_[k].TruncateTo(checkpoint.join_marks[k]);
   }
   pending_ = checkpoint.pending;
-  sketch_ = checkpoint.sketch.Clone();
+  sketch_.Restore(checkpoint.sketch);
   sink_rows_.resize(checkpoint.sink_watermark);
   emitted_order_.resize(checkpoint.emitted_watermark);
   emitted_set_.clear();
   for (const Row& key : emitted_order_) emitted_set_.insert(key);
+  pending_bytes_ = checkpoint.pending_bytes;
+  sink_bytes_ = checkpoint.sink_bytes;
+  emitted_bytes_ = checkpoint.emitted_bytes;
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();
@@ -1199,6 +1205,9 @@ void BlockExecutor::Reset() {
   sink_rows_.clear();
   emitted_order_.clear();
   emitted_set_.clear();
+  pending_bytes_ = 0;
+  sink_bytes_ = 0;
+  emitted_bytes_ = 0;
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();

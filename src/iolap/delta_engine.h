@@ -235,6 +235,8 @@ class BlockExecutor {
   size_t PendingCount() const { return pending_.size(); }
 
   size_t JoinStateBytes() const;
+  /// Sketch, pending set, sink rows and emitted keys, from running
+  /// counters kept on append, erase and restore (no per-call walk).
   size_t OtherStateBytes() const;
 
   /// Disables range-based pruning for the rest of the run (recovery storm
@@ -267,9 +269,15 @@ class BlockExecutor {
     int batch = 0;
     std::vector<JoinStep::Watermark> join_marks;
     std::vector<ExecRow> pending;
-    GroupedAggregateState sketch;
+    /// The sketch's cells, shared with the live state and with the other
+    /// checkpoints that captured them (see GroupedAggregateState).
+    GroupedAggregateState::Snapshot sketch;
     size_t sink_watermark = 0;
     size_t emitted_watermark = 0;
+    /// The executor's running byte counters at capture, restored with it.
+    size_t pending_bytes = 0;
+    size_t sink_bytes = 0;
+    size_t emitted_bytes = 0;
     /// Content hash computed at capture (see ChecksumCheckpoint). Restoring
     /// verifies it; a mismatch means the snapshot is corrupt and the
     /// controller escalates to an older checkpoint or a full restart
@@ -283,16 +291,27 @@ class BlockExecutor {
     /// one slice at capture).
     std::vector<uint64_t> shard_checksums;
 
-    /// Approximate retained bytes (ring-size accounting in the
-    /// controller).
-    size_t ByteSize() const;
+    /// Approximate retained bytes. A sketch cell already in `counted` is
+    /// skipped and every other one is added to it, so summing over a
+    /// checkpoint ring with one shared set counts each shared cell once —
+    /// which is what the ring holds in memory.
+    size_t ByteSize(
+        std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
+        const;
   };
 
-  std::shared_ptr<const Checkpoint> MakeCheckpoint(int batch) const;
+  /// Captures the executor's state after `batch`. Freezes the sketch cells
+  /// opened since the previous capture (see GroupedAggregateState).
+  /// Stateless blocks rebuild everything from the upstream snapshot each
+  /// batch, so their checkpoint holds the batch number alone.
+  std::shared_ptr<const Checkpoint> MakeCheckpoint(int batch);
 
   /// Order-insensitive content hash over everything a restore would replay
   /// (batch, join watermarks, pending rows, sketch accumulator results).
-  static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint);
+  /// Sketch cells contribute their hash cached at freeze time; with
+  /// `recompute_cells` every cell is re-hashed from its contents instead.
+  static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint,
+                                     bool recompute_cells = false);
 
   /// The per-shard slice checksums of `checkpoint`'s pending set under
   /// `num_shards` shards (rows route by the same stable hash the ShardSet
@@ -300,10 +319,11 @@ class BlockExecutor {
   static std::vector<uint64_t> ShardSliceChecksums(const Checkpoint& checkpoint,
                                                    size_t num_shards);
 
-  /// True when `checkpoint`'s checksum matches its content AND every shard
-  /// slice checksum verifies (the consistent-cut rule — a batch is durable
-  /// only when all S shard slices are intact). The
-  /// checkpoint-restore-fault failpoint forces a mismatch here.
+  /// True when `checkpoint`'s checksum matches its content, recomputed
+  /// from scratch (no cached cell hash is trusted), AND every shard slice
+  /// checksum verifies (the consistent-cut rule — a batch is durable only
+  /// when all S shard slices are intact). The checkpoint-restore-fault
+  /// failpoint forces a mismatch here.
   static bool VerifyCheckpoint(const Checkpoint& checkpoint);
 
   void Restore(const Checkpoint& checkpoint);
@@ -461,6 +481,9 @@ class BlockExecutor {
     return options_->mode == ExecutionMode::kIolap && options_->lazy_lineage;
   }
 
+  /// Rescans the private state from scratch (tests/checkpoint_test.cc).
+  friend class CheckpointTestPeer;
+
   const QueryPlan* plan_;
   const Block* block_;
   const BlockAnnotations* ann_;
@@ -513,6 +536,10 @@ class BlockExecutor {
 
   // Join-feed bookkeeping: groups already emitted downstream.
   std::vector<Row> emitted_order_;
+  // Running byte counts of pending_, sink_rows_ and emitted_order_.
+  size_t pending_bytes_ = 0;
+  size_t sink_bytes_ = 0;
+  size_t emitted_bytes_ = 0;
   std::unordered_set<Row, RowHash, RowEq> emitted_set_;
   RowBatch new_output_rows_;
   RowBatch pending_passing_;  // non-agg block: pending rows passing now
@@ -524,8 +551,10 @@ class BlockExecutor {
 
   // Per-batch scratch (cleared at the end of ProcessBatch; members only to
   // reuse capacity across batches). Deferred records hold accumulator
-  // pointers, which are stable: GroupCells live in a node-based map and
-  // their `aggs` vectors are sized once at creation.
+  // pointers, which are stable: GroupCells live on the heap, a cell is
+  // opened (cloned if frozen) before the first pointer into it is taken,
+  // and no capture runs before the flush, so the pointer stays the live
+  // cell's. Their `aggs` vectors are sized once at creation.
   std::vector<RowEval> row_scratch_;
   /// Packed bootstrap multiplicities, num_trials bytes per evaluated row
   /// (slot i belongs to row_scratch_[i]); grown, never shrunk.

@@ -1,6 +1,7 @@
 #include "iolap/query_controller.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/timer.h"
@@ -574,9 +575,14 @@ size_t QueryController::PendingCount() const {
 }
 
 size_t QueryController::CheckpointRingBytes() const {
+  // Consecutive checkpoints share every sketch cell the batches between
+  // them left untouched; a shared cell is held, and counted, once.
+  std::unordered_set<const GroupedAggregateState::GroupCells*> counted;
   size_t total = 0;
   for (const auto& snapshot : checkpoints_) {
-    for (const auto& checkpoint : snapshot) total += checkpoint->ByteSize();
+    for (const auto& checkpoint : snapshot) {
+      total += checkpoint->ByteSize(&counted);
+    }
   }
   return total;
 }

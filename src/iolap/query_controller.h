@@ -74,7 +74,8 @@ class QueryController {
   /// Checkpoint-ring introspection for tests: entries currently retained
   /// (bounded by EngineOptions::checkpoint_history — corrupt snapshots are
   /// pruned during recovery, so the ring never accretes dead payloads)
-  /// and their approximate retained bytes.
+  /// and their approximate retained bytes, counting a sketch cell shared
+  /// by several entries once.
   size_t checkpoint_ring_size() const { return checkpoints_.size(); }
   size_t CheckpointRingBytes() const;
 
@@ -140,6 +141,9 @@ class QueryController {
   // Checkpoint ring: state snapshots after each of the last K batches.
   std::deque<std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>>>
       checkpoints_;
+
+  /// Rescans the private state from scratch (tests/checkpoint_test.cc).
+  friend class CheckpointTestPeer;
 
   QueryMetrics metrics_;
   PartialResult last_result_;

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "bootstrap/error_estimate.h"
@@ -110,6 +114,46 @@ TEST(PoissonThresholdTest, MatchesDoubleCdfAtEveryThreshold) {
   }
   EXPECT_EQ(PoissonOneOfHash(0), 0);
   EXPECT_EQ(PoissonOneOfHash(~0ull), 9);
+}
+
+// The lookup table agrees with the threshold compares at the first and
+// last 53-bit value of every bucket, and one below, at and one above every
+// threshold (the values that decide a straddling bucket's fallback).
+TEST(PoissonTableTest, MatchesThresholdComparesAtBucketEdges) {
+  int straddling = 0;
+  for (uint64_t b = 0; b < kPoissonOneTable.size(); ++b) {
+    straddling += kPoissonOneTable[b] == kPoissonStraddle;
+    const uint64_t first = b << (53 - kPoissonTableBits);
+    const uint64_t last = first | ((uint64_t{1} << (53 - kPoissonTableBits)) - 1);
+    for (uint64_t bits : {first, last}) {
+      for (uint64_t low : {0ull, 0x7ffull}) {
+        const uint64_t hash = (bits << 11) | low;
+        ASSERT_EQ(PoissonOneByTable(hash), PoissonOneOfHash(hash))
+            << "bucket " << b << " bits " << bits;
+      }
+    }
+  }
+  EXPECT_EQ(straddling, 7);
+  for (uint64_t threshold : kPoissonOneThresholds) {
+    for (uint64_t bits = threshold - 1; bits <= threshold + 1; ++bits) {
+      for (uint64_t low : {0ull, 0x7ffull}) {
+        const uint64_t hash = (bits << 11) | low;
+        EXPECT_EQ(PoissonOneByTable(hash), PoissonOneOfHash(hash))
+            << "bits " << bits;
+      }
+    }
+  }
+}
+
+TEST(PoissonTableTest, FillMatchesHashDrawsOverManyRows) {
+  const BootstrapWeights weights(5, 100);
+  std::vector<uint8_t> packed(100);
+  int mismatches = 0;
+  for (uint64_t uid = 0; uid < 10000; ++uid) {
+    weights.Fill(uid, packed.data());
+    for (int t = 0; t < 100; ++t) mismatches += packed[t] != weights.WeightAt(uid, t);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ------------------------------------------------- TrialAccumulatorSet
@@ -230,6 +274,99 @@ TEST(ErrorEstimateTest, StddevAndCi) {
   EXPECT_NEAR(est.ci_lo, 90.5, 0.2);   // 2.5th percentile
   EXPECT_NEAR(est.ci_hi, 109.5, 0.2);  // 97.5th percentile
   EXPECT_FALSE(est.ToString().empty());
+}
+
+// The 2.5 / 97.5 percentiles by full sort under `less`, interpolated the
+// way EstimateError defines them.
+template <typename Less>
+std::pair<double, double> SortedPercentiles(std::vector<double> trials,
+                                            Less less) {
+  std::sort(trials.begin(), trials.end(), less);
+  const auto percentile = [&trials](double p) {
+    const double pos = p * (trials.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, trials.size() - 1);
+    const double frac = pos - lo;
+    return trials[lo] * (1.0 - frac) + trials[hi] * frac;
+  };
+  return {percentile(0.025), percentile(0.975)};
+}
+
+// The selection-based percentile CI against a full sort, on random
+// vectors of every replica count up to past the buffered-selection limit
+// (where nth_element takes over).
+TEST(ErrorEstimateTest, PercentileCiMatchesSortOracle) {
+  Rng rng(17);
+  for (size_t n = 2; n <= 1200; n += (n < 130 ? 1 : 97)) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<double> trials(n);
+      for (double& x : trials) {
+        // Repeated values exercise ties.
+        x = rep % 2 == 0 ? rng.NextGaussian() * 10
+                         : static_cast<double>(rng.NextBounded(5));
+      }
+      const auto [lo, hi] = SortedPercentiles(trials, std::less<double>());
+      const ErrorEstimate est = EstimateError(1.0, trials);
+      ASSERT_EQ(est.ci_lo, lo) << "n=" << n;
+      ASSERT_EQ(est.ci_hi, hi) << "n=" << n;
+    }
+  }
+}
+
+// Non-finite replicas (SUM over +inf and -inf inputs yields NaN) get a
+// defined order, -inf < finite < +inf < NaN, which std::sort's `<` cannot
+// provide once NaN is present.
+TEST(ErrorEstimateTest, NonFiniteReplicasHaveDefinedOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto nan_last = [](double a, double b) {
+    return a < b || (std::isnan(b) && !std::isnan(a));
+  };
+  const auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || a == b;
+  };
+  Rng rng(23);
+  const double pool[] = {nan, inf, -inf, 0.0, -0.0, 1.5, -2.0, 1e308};
+  for (size_t n : {size_t{2}, size_t{3}, size_t{60}, size_t{100},
+                   size_t{2000}}) {
+    for (int rep = 0; rep < 200; ++rep) {
+      std::vector<double> trials(n);
+      // Mostly finite, with a rep-dependent share of non-finite values so
+      // NaN and the infinities land in and around the percentile ranks.
+      const uint64_t odds = 2 + rep % 12;
+      for (double& x : trials) {
+        x = rng.NextBounded(odds) == 0 ? pool[rng.NextBounded(3)]
+                                       : pool[3 + rng.NextBounded(5)];
+      }
+      const auto [lo, hi] = SortedPercentiles(trials, nan_last);
+      const ErrorEstimate est = EstimateError(1.0, trials);
+      ASSERT_TRUE(same(est.ci_lo, lo))
+          << "n=" << n << " rep=" << rep << ": " << est.ci_lo << " vs " << lo;
+      ASSERT_TRUE(same(est.ci_hi, hi))
+          << "n=" << n << " rep=" << rep << ": " << est.ci_hi << " vs " << hi;
+    }
+  }
+  // Directed: NaN sorts above +inf, so the top percentile of a vector with
+  // NaN in its top ranks is NaN while the bottom stays finite.
+  std::vector<double> trials(60, 1.0);
+  trials[7] = nan;
+  trials[8] = nan;
+  trials[9] = inf;
+  const ErrorEstimate est = EstimateError(1.0, trials);
+  EXPECT_EQ(est.ci_lo, 1.0);
+  EXPECT_TRUE(std::isnan(est.ci_hi));
+}
+
+// ±0 compare equal: either sign may come out, but the value is zero.
+TEST(ErrorEstimateTest, SignedZerosCompareEqual) {
+  for (size_t n : {size_t{2}, size_t{60}, size_t{2000}}) {
+    std::vector<double> trials;
+    for (size_t i = 0; i < n; ++i) trials.push_back(i % 2 == 0 ? 0.0 : -0.0);
+    const ErrorEstimate est = EstimateError(0.0, trials);
+    EXPECT_EQ(est.ci_lo, 0.0);
+    EXPECT_EQ(est.ci_hi, 0.0);
+    EXPECT_EQ(est.stddev, 0.0);
+  }
 }
 
 TEST(ErrorEstimateTest, RelStddevOfZeroValue) {

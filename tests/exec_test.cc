@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "exec/batch.h"
 #include "exec/hash_aggregate.h"
 #include "exec/operators.h"
@@ -181,28 +183,97 @@ TEST(GroupedAggregateTest, GetOrCreateTracksFirstBatch) {
   EXPECT_EQ(state.num_groups(), 1u);
 }
 
+double MainSum(const GroupedAggregateState::GroupCells& cells) {
+  return cells.aggs[0].MainResult(1.0).AsDouble();
+}
+
+// A snapshot is a deep copy in effect: writes to the live state after the
+// capture never reach the captured cells.
 TEST(GroupedAggregateTest, CloneIsDeep) {
   auto specs = SumSpec();
   GroupedAggregateState state(&specs, 0);
   state.GetOrCreate({Value::Int64(1)}, 0).aggs[0].AddMainOnly(
       Value::Double(5), 1.0);
-  GroupedAggregateState copy = state.Clone();
-  copy.GetOrCreate({Value::Int64(1)}, 0).aggs[0].AddMainOnly(
+  const GroupedAggregateState::Snapshot snapshot = state.Capture();
+  state.GetOrCreate({Value::Int64(1)}, 0).aggs[0].AddMainOnly(
       Value::Double(7), 1.0);
-  EXPECT_DOUBLE_EQ(
-      state.Find({Value::Int64(1)})->aggs[0].MainResult(1.0).AsDouble(), 5.0);
-  EXPECT_DOUBLE_EQ(
-      copy.Find({Value::Int64(1)})->aggs[0].MainResult(1.0).AsDouble(), 12.0);
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_DOUBLE_EQ(MainSum(*snapshot[0]), 5.0);
+  EXPECT_DOUBLE_EQ(MainSum(*state.Find({Value::Int64(1)})), 12.0);
+
+  GroupedAggregateState restored(&specs, 0);
+  restored.Restore(snapshot);
+  EXPECT_DOUBLE_EQ(MainSum(*restored.Find({Value::Int64(1)})), 5.0);
 }
 
-TEST(GroupedAggregateTest, DropGroupsAfter) {
+// Capture, touch one group, capture again: the second snapshot shares
+// every untouched cell by pointer, holds a fresh copy of the touched one,
+// and the first snapshot still reads the old values.
+TEST(GroupedAggregateTest, CaptureSharesUntouchedCells) {
   auto specs = SumSpec();
-  GroupedAggregateState state(&specs, 0);
-  state.GetOrCreate({Value::Int64(1)}, 0);
-  state.GetOrCreate({Value::Int64(2)}, 5);
-  state.DropGroupsAfter(2);
-  EXPECT_NE(state.Find({Value::Int64(1)}), nullptr);
-  EXPECT_EQ(state.Find({Value::Int64(2)}), nullptr);
+  GroupedAggregateState state(&specs, 3);
+  for (int g = 0; g < 8; ++g) {
+    state.GetOrCreate({Value::Int64(g)}, 0).aggs[0].AddMainOnly(
+        Value::Double(g), 1.0);
+  }
+  const GroupedAggregateState::Snapshot first = state.Capture();
+  state.GetOrCreate({Value::Int64(5)}, 1).aggs[0].AddMainOnly(
+      Value::Double(100), 1.0);
+  const GroupedAggregateState::Snapshot second = state.Capture();
+  ASSERT_EQ(first.size(), 8u);
+  ASSERT_EQ(second.size(), 8u);
+
+  std::map<int64_t, const GroupedAggregateState::GroupCells*> before;
+  for (const auto& cell : first) before[cell->key[0].int64()] = cell.get();
+  for (const auto& cell : second) {
+    const int64_t g = cell->key[0].int64();
+    EXPECT_TRUE(cell->frozen);
+    if (g == 5) {
+      EXPECT_NE(cell.get(), before[g]);
+      EXPECT_DOUBLE_EQ(MainSum(*cell), 105.0);
+      EXPECT_DOUBLE_EQ(MainSum(*before[g]), 5.0);
+    } else {
+      EXPECT_EQ(cell.get(), before[g]) << "group " << g;
+    }
+  }
+  // Every captured cell's cached hash and size match its contents.
+  for (const auto* snapshot : {&first, &second}) {
+    for (const auto& cell : *snapshot) {
+      EXPECT_EQ(cell->content_hash, cell->ContentHash());
+      EXPECT_EQ(cell->byte_size, cell->ComputeByteSize());
+    }
+  }
+}
+
+// ByteSize is a running count over frozen cells plus the open ones; it
+// equals a recount after captures, copy-on-write touches and a restore.
+TEST(GroupedAggregateTest, ByteSizeMatchesRecount) {
+  std::vector<AggSpec> specs;
+  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
+                          Col(0, "x", ValueType::kDouble), "s"});
+  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kAvg),
+                          Col(0, "x", ValueType::kDouble), "a"});
+  GroupedAggregateState state(&specs, 4);
+  const auto recount = [&state] {
+    size_t total = 0;
+    for (const auto& [key, cell] : state.groups()) {
+      total += cell->ComputeByteSize();
+    }
+    return total;
+  };
+  for (int g = 0; g < 6; ++g) {
+    state.GetOrCreate({Value::String("g" + std::to_string(g))}, 0);
+  }
+  EXPECT_EQ(state.ByteSize(), recount());
+  const GroupedAggregateState::Snapshot snapshot = state.Capture();
+  EXPECT_EQ(state.ByteSize(), recount());
+  state.GetOrCreate({Value::String("g2")}, 1);
+  state.GetOrCreate({Value::String("a much longer group key")}, 1);
+  EXPECT_EQ(state.ByteSize(), recount());
+  state.Restore(snapshot);
+  EXPECT_EQ(state.ByteSize(), recount());
+  state.Clear();
+  EXPECT_EQ(state.ByteSize(), 0u);
 }
 
 TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
