@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,7 @@
 // Machine-readable companion output: benches also emit a BENCH_<id>.json
 // in the working directory so dashboards and regression scripts don't have
 // to parse the human-oriented tab format. Several binaries share
-// BENCH_fig7.json (fig7 latency rows, fig9/fig10 exchange rows); Flush()
+// BENCH_fig7.json (fig7 latency rows, fig9/fig10 shipped-bytes rows); Flush()
 // merges by row name so each binary replaces only its own series no matter
 // which ran last. Uniform row schema:
 //   {"name": ..., "wall_sec": ..., "cpu_sec": ..., "rows_per_sec": ...,
@@ -31,10 +32,8 @@
 //   "recoveries", "max_rollback_depth", "full_restarts",
 //   "corrupt_checkpoints", "injected_faults", "frozen_replay_batches",
 //   "recoveries_exhausted", "degraded"
-// Rows added with exchange metrics carry:
-//   "shipped_bytes" (measured ExchangeLayer wire traffic, retransmissions
-//   included) and "modeled_bytes" (the old virtual-worker cost model's
-//   prediction for the same run, kept so the model's error stays visible)
+// Rows added with a run's metrics carry "shipped_bytes" (the engine's
+// shuffle/broadcast cost model, QueryMetrics::TotalShippedBytes).
 
 namespace iolap {
 namespace bench {
@@ -53,9 +52,14 @@ class JsonWriter {
  public:
   explicit JsonWriter(std::string path) : path_(std::move(path)) {}
 
+  /// With `metrics` (a full engine run) the row also carries the run's
+  /// shipped bytes.
   void Add(const std::string& name, double wall_sec, double cpu_sec,
-           double rows_per_sec, size_t threads) {
-    rows_.push_back(Entry{name, wall_sec, cpu_sec, rows_per_sec, threads});
+           double rows_per_sec, size_t threads,
+           const QueryMetrics* metrics = nullptr) {
+    Entry e{name, wall_sec, cpu_sec, rows_per_sec, threads};
+    if (metrics != nullptr) e.shipped_bytes = metrics->TotalShippedBytes();
+    rows_.push_back(std::move(e));
   }
 
   /// Same row plus the failure-recovery counters of the run — used by
@@ -74,24 +78,7 @@ class JsonWriter {
     e.frozen_replay_batches = metrics.TotalFrozenReplayBatches();
     e.recoveries_exhausted = metrics.TotalRecoveriesExhausted();
     e.degraded = metrics.DegradedMode();
-    // Recovery rows come from full engine runs, so the measured-vs-modeled
-    // exchange pair is always available — carry it too.
-    e.has_exchange = true;
     e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
-    rows_.push_back(std::move(e));
-  }
-
-  /// Same row plus the measured-vs-modeled exchange byte counts — used by
-  /// the shuffle/broadcast memory benches (fig9/fig10) so the cost model's
-  /// drift from the wire is a tracked series, not a footnote.
-  void AddWithExchange(const std::string& name, double wall_sec,
-                       double cpu_sec, double rows_per_sec, size_t threads,
-                       const QueryMetrics& metrics) {
-    Entry e{name, wall_sec, cpu_sec, rows_per_sec, threads};
-    e.has_exchange = true;
-    e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
     rows_.push_back(std::move(e));
   }
 
@@ -121,11 +108,9 @@ class JsonWriter {
                    "\"threads\": %zu",
                    Escaped(e.name).c_str(), e.wall_sec, e.cpu_sec,
                    e.rows_per_sec, e.threads);
-      if (e.has_exchange) {
-        std::fprintf(f,
-                     ", \"shipped_bytes\": %llu, \"modeled_bytes\": %llu",
-                     static_cast<unsigned long long>(e.shipped_bytes),
-                     static_cast<unsigned long long>(e.modeled_bytes));
+      if (e.shipped_bytes.has_value()) {
+        std::fprintf(f, ", \"shipped_bytes\": %llu",
+                     static_cast<unsigned long long>(*e.shipped_bytes));
       }
       if (e.has_recovery) {
         std::fprintf(f,
@@ -153,10 +138,8 @@ class JsonWriter {
     double cpu_sec;
     double rows_per_sec;
     size_t threads;
-    // Optional measured-vs-modeled exchange bytes (AddWithExchange).
-    bool has_exchange = false;
-    uint64_t shipped_bytes = 0;
-    uint64_t modeled_bytes = 0;
+    // Optional shipped bytes (Add with metrics, AddWithRecovery).
+    std::optional<uint64_t> shipped_bytes{};
     // Optional failure-recovery counters (AddWithRecovery).
     bool has_recovery = false;
     int recoveries = 0;

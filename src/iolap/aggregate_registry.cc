@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "catalog/partitioner.h"
 #include "common/failpoint.h"
 
 namespace iolap {
@@ -271,25 +270,6 @@ void AggregateRegistry::ScaleSlack(double factor) {
 
 size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
-}
-
-size_t AggregateRegistry::ShardGroupCount(int block, size_t shard,
-                                          size_t num_shards) const {
-  size_t count = 0;
-  for (const auto& [key, entry] : relations_[block].entries) {
-    if (ShardOfHash(HashRow(key), num_shards) == shard) ++count;
-  }
-  return count;
-}
-
-size_t AggregateRegistry::ShardRelationBytes(int block, size_t shard,
-                                             size_t num_shards) const {
-  size_t total = 0;
-  for (const auto& [key, entry] : relations_[block].entries) {
-    if (ShardOfHash(HashRow(key), num_shards) != shard) continue;
-    total += RowByteSize(key) + ValueBytes(entry);
-  }
-  return total;
 }
 
 size_t AggregateRegistry::TotalBytes() const {

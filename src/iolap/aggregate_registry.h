@@ -42,7 +42,7 @@ extern ThreadRole engine_serial_phase;
 ///
 /// In the paper this relation is broadcast to all workers each batch so the
 /// lazy-evaluation join is local; here a lookup is a hash probe and the
-/// broadcast is charged to the shipped-bytes cost model by the controller.
+/// broadcast is charged to the shipped-bytes cost model by the executor.
 class AggregateRegistry final : public AggLookupResolver,
                                 public RangeConstraintSink {
  public:
@@ -112,14 +112,6 @@ class AggregateRegistry final : public AggLookupResolver,
 
   /// Every relation plus its variation-range trackers (running counters).
   size_t TotalBytes() const;
-
-  /// Shard slices of a block's published relation, partitioned by group-key
-  /// hash with catalog/partitioner's ShardOfHash — the same rule that
-  /// routes rows to shards, so a shard's registry slice is exactly the
-  /// groups its rows feed. Slices partition the whole: summing over
-  /// shard ∈ [0, num_shards) reproduces GroupCount / RelationBytes.
-  size_t ShardGroupCount(int block, size_t shard, size_t num_shards) const;
-  size_t ShardRelationBytes(int block, size_t shard, size_t num_shards) const;
 
   // --- RangeConstraintSink -----------------------------------------------
   // Routes the obligations of pruning decisions (ClassifyPredicate with a

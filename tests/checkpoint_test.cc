@@ -139,6 +139,8 @@ struct Config {
   size_t threads = 0;
   int batches = 6;
   std::string failpoints;
+  /// OPT2; off, the shipped-bytes model charges the pending byte counter.
+  bool lazy_lineage = true;
 };
 
 EngineOptions OptionsFor(const Config& config) {
@@ -149,6 +151,7 @@ EngineOptions OptionsFor(const Config& config) {
   options.compile_expressions = config.compile;
   options.num_threads = config.threads;
   options.failpoints = config.failpoints;
+  options.lazy_lineage = config.lazy_lineage;
   return options;
 }
 
@@ -290,7 +293,9 @@ TEST(CheckpointTest, RestoreAnyRingEntryReplaysBitIdentical) {
 // After every batch the running byte counters — what BatchMetrics reports
 // as other_state_bytes, and each relation's RelationBytes — equal a
 // from-scratch rescan. The schedules add a restore (depth 2), a full
-// restart (depth past the ring) and a corrupt-checkpoint escalation.
+// restart (depth past the ring) and a corrupt-checkpoint escalation. With
+// OPT2 off the pending counter is also what the shipped-bytes model charges
+// for re-shipping the saved rows, so both modes are checked.
 TEST(CheckpointTest, ByteCountersMatchRescanOverCorpus) {
   const std::vector<std::string> schedules = {
       "",
@@ -302,24 +307,26 @@ TEST(CheckpointTest, ByteCountersMatchRescanOverCorpus) {
   for (const Case& c : Corpus()) {
     for (const std::string& spec : schedules) {
       for (size_t threads : {size_t{0}, size_t{4}}) {
-        SCOPED_TRACE(c.name + " spec=" + spec +
-                     " threads=" + std::to_string(threads));
-        int checked = 0;
-        RunChecked(c, {true, threads, 6, spec},
-                   [&](const QueryController& ctl, int) {
-                     const BatchMetrics& bm = ctl.metrics().batches.back();
-                     EXPECT_EQ(bm.other_state_bytes,
-                               CheckpointTestPeer::RescanOtherStateBytes(ctl));
-                     const AggregateRegistry& registry =
-                         CheckpointTestPeer::Registry(ctl);
-                     for (size_t b = 0; b < ctl.plan().blocks.size(); ++b) {
-                       EXPECT_EQ(registry.RelationBytes(static_cast<int>(b)),
-                                 CheckpointTestPeer::RescanRelationBytes(
-                                     registry, b));
-                     }
-                     ++checked;
-                   });
-        EXPECT_EQ(checked, 6);
+        for (bool lazy : {true, false}) {
+          SCOPED_TRACE(c.name + " spec=" + spec + " threads=" +
+                       std::to_string(threads) +
+                       " lazy=" + std::to_string(lazy));
+          int checked = 0;
+          const auto check = [&](const QueryController& ctl, int) {
+            const BatchMetrics& bm = ctl.metrics().batches.back();
+            EXPECT_EQ(bm.other_state_bytes,
+                      CheckpointTestPeer::RescanOtherStateBytes(ctl));
+            const AggregateRegistry& registry =
+                CheckpointTestPeer::Registry(ctl);
+            for (size_t b = 0; b < ctl.plan().blocks.size(); ++b) {
+              EXPECT_EQ(registry.RelationBytes(static_cast<int>(b)),
+                        CheckpointTestPeer::RescanRelationBytes(registry, b));
+            }
+            ++checked;
+          };
+          RunChecked(c, {true, threads, 6, spec, lazy}, check);
+          EXPECT_EQ(checked, 6);
+        }
       }
     }
   }
