@@ -260,7 +260,7 @@ void BM_JoinProbe(benchmark::State& state) {
     dim.push_back(row);
   }
   RowBatch out;
-  step.ProcessBatch({}, dim, &out);
+  step.ProcessBatch(DeltaView(), DeltaView(dim), &out);
   int64_t key = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(step.ProbeCount({Value::Int64(key % 1000)}));

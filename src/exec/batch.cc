@@ -4,7 +4,7 @@
 
 namespace iolap {
 
-ExecRow ConcatRows(const ExecRow& left, const ExecRow& right) {
+ExecRow ConcatRows(RowRef left, RowRef right) {
   ExecRow out;
   out.values.reserve(left.values.size() + right.values.size());
   out.values.insert(out.values.end(), left.values.begin(), left.values.end());
@@ -15,12 +15,6 @@ ExecRow ConcatRows(const ExecRow& left, const ExecRow& right) {
          "at most one relation may be streamed");
   out.stream_uid = left.FromStream() ? left.stream_uid : right.stream_uid;
   return out;
-}
-
-size_t BatchByteSize(const RowBatch& batch) {
-  size_t total = 0;
-  for (const ExecRow& row : batch) total += row.ByteSize();
-  return total;
 }
 
 }  // namespace iolap

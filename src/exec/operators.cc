@@ -28,7 +28,7 @@ void InputCache::TruncateTo(size_t watermark) {
   }
 }
 
-Row InputCache::KeyOf(const ExecRow& row) const {
+Row InputCache::KeyOf(RowRef row) const {
   Row key;
   key.reserve(key_cols_.size());
   for (int c : key_cols_) key.push_back(row.values[c]);
@@ -43,18 +43,20 @@ JoinStep::JoinStep(std::vector<int> prefix_key_cols,
       prefix_cache_(std::move(prefix_key_cols)),
       keep_prefix_(input_grows) {}
 
-Row JoinStep::PrefixKey(const ExecRow& row) const {
+Row JoinStep::PrefixKey(RowRef row) const {
   Row key;
   key.reserve(prefix_key_cols_.size());
   for (int c : prefix_key_cols_) key.push_back(row.values[c]);
   return key;
 }
 
-void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
-                            const RowBatch& input_delta, RowBatch* out) {
+size_t JoinStep::ProcessBatch(const DeltaView& prefix_delta,
+                              const DeltaView& input_delta, RowBatch* out) {
+  const size_t out_before = out->size();
+  size_t appended = 0;
   // (1) P_old ⋈ ΔI — before the prefix delta is folded into the cache.
   if (keep_prefix_) {
-    for (const ExecRow& input_row : input_delta) {
+    for (const RowRef input_row : input_delta) {
       // The input row's join-key values, probed against the prefix cache
       // (both sides index the same key values).
       const Row key = input_cache_.KeyOf(input_row);
@@ -65,10 +67,11 @@ void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
   }
   // (2) Fold ΔI into the input cache, then ΔP ⋈ I_new (covers ΔP ⋈ I_old
   // and ΔP ⋈ ΔI in one probe).
-  for (const ExecRow& input_row : input_delta) {
-    input_cache_.Append(input_row);
+  for (const RowRef input_row : input_delta) {
+    input_cache_.Append(input_row.ToOwned());
+    ++appended;
   }
-  for (const ExecRow& prefix_row : prefix_delta) {
+  for (const RowRef prefix_row : prefix_delta) {
     const Row key = PrefixKey(prefix_row);
     for (uint32_t pos : input_cache_.Matches(key)) {
       out->push_back(ConcatRows(prefix_row, input_cache_.row(pos)));
@@ -76,10 +79,12 @@ void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
   }
   // (3) Remember the prefix delta for future ΔI arrivals.
   if (keep_prefix_) {
-    for (const ExecRow& prefix_row : prefix_delta) {
-      prefix_cache_.Append(prefix_row);
+    for (const RowRef prefix_row : prefix_delta) {
+      prefix_cache_.Append(prefix_row.ToOwned());
+      ++appended;
     }
   }
+  return appended + (out->size() - out_before);
 }
 
 size_t JoinStep::ProbeCount(const Row& prefix_key) const {

@@ -38,7 +38,7 @@ class InputCache {
 
   size_t ByteSize() const { return byte_size_; }
 
-  Row KeyOf(const ExecRow& row) const;
+  Row KeyOf(RowRef row) const;
 
  private:
   std::vector<int> key_cols_;
@@ -60,16 +60,18 @@ class JoinStep {
            bool input_grows, bool prefix_grows);
 
   /// Processes one batch: `prefix_delta` are new prefix rows, `input_delta`
-  /// new input-k rows. Appends the resulting new joined rows to `out`.
-  void ProcessBatch(const RowBatch& prefix_delta, const RowBatch& input_delta,
-                    RowBatch* out);
+  /// new input-k rows, both read in place. Appends the resulting new joined
+  /// rows to `out`. The caches keep owned copies of the rows they take.
+  /// Returns the rows copied: cache appends plus joined rows.
+  size_t ProcessBatch(const DeltaView& prefix_delta,
+                      const DeltaView& input_delta, RowBatch* out);
 
   /// Probes input k's cache with a prefix row's key; returns match count.
   /// Used by the OPT1-only path to charge the cost of re-deriving a tuple
   /// through the join pipeline.
   size_t ProbeCount(const Row& prefix_key) const;
 
-  std::vector<int> prefix_key_cols() const { return prefix_key_cols_; }
+  const std::vector<int>& prefix_key_cols() const { return prefix_key_cols_; }
 
   struct Watermark {
     size_t input = 0;
@@ -81,7 +83,10 @@ class JoinStep {
   size_t StateBytes() const;
 
  private:
-  Row PrefixKey(const ExecRow& row) const;
+  Row PrefixKey(RowRef row) const;
+
+  /// Reads the caches from scratch (tests/checkpoint_test.cc).
+  friend class CheckpointTestPeer;
 
   std::vector<int> prefix_key_cols_;
   InputCache input_cache_;

@@ -50,6 +50,9 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   for (bool uncertain : ann_->agg_arg_uncertain) {
     any_agg_arg_uncertain_ = any_agg_arg_uncertain_ || uncertain;
   }
+  for (bool uncertain : ann_->spj_attr_uncertain) {
+    any_attr_uncertain_ = any_attr_uncertain_ || uncertain;
+  }
   stateless_ = block_->inputs.size() == 1 &&
                block_->inputs[0].kind == BlockInput::Kind::kBlockOutput;
   for (size_t k = 1; k < block_->inputs.size(); ++k) {
@@ -119,12 +122,15 @@ EvalContext BlockExecutor::MainContext() const {
   return ctx;
 }
 
-RowBatch BlockExecutor::JoinDeltas(const std::vector<RowBatch>& input_deltas) {
-  assert(input_deltas.size() == block_->inputs.size());
-  RowBatch current = input_deltas[0];
+RowBatch BlockExecutor::JoinDeltas(
+    const std::vector<DeltaView>& input_deltas) {
+  assert(input_deltas.size() == block_->inputs.size() &&
+         input_deltas.size() > 1);
+  RowBatch current;
   for (size_t k = 1; k < block_->inputs.size(); ++k) {
     RowBatch next;
-    join_steps_[k - 1].ProcessBatch(current, input_deltas[k], &next);
+    rows_materialized_ += join_steps_[k - 1].ProcessBatch(
+        k == 1 ? input_deltas[0] : DeltaView(current), input_deltas[k], &next);
     current = std::move(next);
   }
   return current;
@@ -146,7 +152,7 @@ void BlockExecutor::RefreshRow(ExecRow* row, bool charge_regeneration) const {
     ExecRow rebuilt = *row;  // rematerialization
     *row = std::move(rebuilt);
   }
-  if (!ann_->spj_attr_uncertain.empty()) {
+  if (any_attr_uncertain_) {
     const EvalContext ctx = MainContext();
     for (size_t c = 0; c < ann_->spj_lineage.size(); ++c) {
       const ExprPtr& lineage = ann_->spj_lineage[c];
@@ -157,7 +163,7 @@ void BlockExecutor::RefreshRow(ExecRow* row, bool charge_regeneration) const {
   }
 }
 
-IntervalTruth BlockExecutor::Classify(const ExecRow& row,
+IntervalTruth BlockExecutor::Classify(RowRef row,
                                       RangeConstraintSink* sink) const {
   if (block_->filter == nullptr) return IntervalTruth::kAlwaysTrue;
   EvalContext ctx = MainContext();
@@ -185,7 +191,7 @@ IntervalTruth BlockExecutor::Classify(const ExecRow& row,
   return IntervalTruth::kUndecided;
 }
 
-Row BlockExecutor::GroupKeyOf(const ExecRow& row) const {
+Row BlockExecutor::GroupKeyOf(RowRef row) const {
   const EvalContext ctx = MainContext();
   Row key;
   key.reserve(block_->group_by.size());
@@ -213,8 +219,8 @@ std::vector<double> BlockExecutor::DisplayAnalyticSd(
   return out;
 }
 
-void BlockExecutor::AccumulateCertain(const ExecRow& row,
-                                      const uint8_t* weights, int batch,
+void BlockExecutor::AccumulateCertain(RowRef row, const uint8_t* weights,
+                                      int batch,
                                       GroupedAggregateState* target) {
   const EvalContext ctx = MainContext();
   GroupedAggregateState::GroupCells& cells =
@@ -230,7 +236,7 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row,
   }
 }
 
-bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
+bool BlockExecutor::EvaluateRowCompiled(RowRef row, RowEval* ev,
                                         ExprProgramState* ps) const {
   const int trials = bootstrap_.num_trials();
   // Prologue: trial-invariant subexpressions plus one batched resolver
@@ -265,10 +271,25 @@ bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
                                   ev->trial_vals.data());
 }
 
-void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
-                                uint8_t* weights, RowEval* ev,
+void BlockExecutor::RowEval::Reset() {
+  truth = IntervalTruth::kUndecided;
+  pending_route = false;
+  main_pass = false;
+  weights = nullptr;
+  key.clear();
+  key_hash = 0;
+  main_vals.clear();
+  trial_w.clear();
+  trial_vals.clear();
+  constraints.clear();
+}
+
+void BlockExecutor::EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
                                 ExprProgramState* prog_state) const {
-  RefreshRow(row, charge_regeneration);
+  // The slot may hold an earlier batch's row, or a doomed attempt of this
+  // one (the pool-task-fault retry path): start from a fresh state so
+  // re-evaluation is exactly idempotent.
+  ev->Reset();
 
   // Classification with a buffered constraint sink: registrations are
   // replayed by the serial apply phase (see ConstraintOp). This is the same
@@ -289,20 +310,15 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
     }
   };
   BufferedSink sink;
-  // The clear makes re-evaluation exactly idempotent (the pool-task-fault
-  // retry path): a fresh RowEval's vector is already empty, but a retried
-  // one holds the doomed attempt's registrations.
-  ev->constraints.clear();
   sink.ops = &ev->constraints;
-  ev->truth = Classify(*row, &sink);
+  ev->truth = Classify(row, &sink);
 
   // Pack the row's bootstrap multiplicities once: the trial loops below
   // and the certain-row flush read these bytes instead of re-hashing
   // (row, trial) per aggregate.
-  ev->weights = nullptr;
   if (block_->has_aggregate() && ev->truth != IntervalTruth::kAlwaysFalse &&
-      row->FromStream() && bootstrap_.num_trials() > 0) {
-    bootstrap_.Fill(row->stream_uid, weights);
+      row.FromStream() && bootstrap_.num_trials() > 0) {
+    bootstrap_.Fill(row.stream_uid, weights);
     ev->weights = weights;
   }
 
@@ -316,23 +332,23 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   // per-trial membership/argument evaluations. These read only the row and
   // the registry (frozen during a batch), never the sketch, so they run
   // concurrently per row; the contributions are applied serially later.
-  if (prog_state != nullptr && EvaluateRowCompiled(*row, ev, prog_state)) {
+  if (prog_state != nullptr && EvaluateRowCompiled(row, ev, prog_state)) {
     return;
   }
   // Interpreter path: no compiled program, or the row bailed mid-way (the
   // re-assignments below overwrite anything the compiled attempt wrote).
   EvalContext ctx = MainContext();
   ev->main_pass = block_->filter == nullptr ||
-                  block_->filter->Eval(row->values, ctx).IsTruthy();
+                  block_->filter->Eval(row.values, ctx).IsTruthy();
   if (!block_->has_aggregate()) return;
   const size_t num_aggs = block_->aggs.size();
-  ev->key = GroupKeyOf(*row);
+  ev->key = GroupKeyOf(row);
   ev->key_hash = HashRow(ev->key);
   ev->main_vals.clear();
   if (ev->main_pass) {
     ev->main_vals.reserve(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
-      ev->main_vals.push_back(block_->aggs[a].arg->Eval(row->values, ctx));
+      ev->main_vals.push_back(block_->aggs[a].arg->Eval(row.values, ctx));
     }
   }
   // Per-trial membership: the decision the filter takes under each
@@ -344,28 +360,24 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
   for (int t = 0; t < trials; ++t) {
     const double w =
-        row->weight * (ev->weights != nullptr ? ev->weights[t] : 1);
+        row.weight * (ev->weights != nullptr ? ev->weights[t] : 1);
     if (w == 0.0) continue;
     ctx.trial = t;
     if (block_->filter != nullptr &&
-        !block_->filter->Eval(row->values, ctx).IsTruthy()) {
+        !block_->filter->Eval(row.values, ctx).IsTruthy()) {
       continue;
     }
     ev->trial_w[t] = w;
     for (size_t a = 0; a < num_aggs; ++a) {
       ev->trial_vals[static_cast<size_t>(t) * num_aggs + a] =
-          block_->aggs[a].arg->Eval(row->values, ctx);
+          block_->aggs[a].arg->Eval(row.values, ctx);
     }
   }
 }
 
-void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
-                                 int batch, GroupedAggregateState* temp) {
+void BlockExecutor::ApplyPending(RowRef row, size_t eval_idx, int batch,
+                                 GroupedAggregateState* temp) {
   const RowEval& ev = row_scratch_[eval_idx];
-  if (!block_->has_aggregate()) {
-    if (ev.main_pass) pending_passing_.push_back(row);
-    return;
-  }
   GroupedAggregateState::GroupCells* cells = nullptr;
   if (ev.main_pass) {
     cells = &temp->GetOrCreate(ev.key, ev.key_hash, batch);
@@ -434,53 +446,80 @@ void BlockExecutor::FlushDeferredTrials() {
   deferred_pending_.clear();
 }
 
-void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
-                             GroupedAggregateState* temp,
+void BlockExecutor::RouteRow(RowRef row, ExecRow* owned, size_t eval_idx,
+                             int batch, GroupedAggregateState* temp,
                              std::vector<ExecRow>* new_pending) {
   const RowEval& ev = row_scratch_[eval_idx];
   if (ev.truth == IntervalTruth::kAlwaysFalse) return;
+  // The row enters owned state: moved when the executor owns it, else
+  // copied out of the borrowed delta. `row` may alias `*owned`, so it is
+  // read only before this runs.
+  const auto take = [&]() {
+    if (owned != nullptr) return std::move(*owned);
+    ++rows_materialized_;
+    return row.ToOwned();
+  };
   if (!ev.pending_route) {
     if (block_->has_aggregate()) {
       AccumulateCertain(row, ev.weights, batch, &sketch_);
     } else {
       sink_bytes_ += row.ByteSize();
-      sink_rows_.push_back(std::move(row));
+      sink_rows_.push_back(take());
     }
     return;
   }
   // Non-deterministic (or permanently unsketchable): contributes revocably
   // this batch and is saved for re-evaluation in the next one.
-  ApplyPending(row, eval_idx, batch, temp);
+  if (block_->has_aggregate()) {
+    ApplyPending(row, eval_idx, batch, temp);
+  } else if (ev.main_pass) {
+    pending_passing_.push_back(static_cast<uint32_t>(new_pending->size()));
+  }
   pending_bytes_ += row.ByteSize();
-  new_pending->push_back(std::move(row));
+  new_pending->push_back(take());
 }
 
 int BlockExecutor::ProcessBatch(int batch, double scale,
-                                const std::vector<RowBatch>& input_deltas,
+                                const std::vector<DeltaView>& input_deltas,
                                 BlockBatchStats* stats) {
-  if (stateless_) {
-    // Snapshot consumer: the controller passes the upstream's full output
-    // relation; re-evaluate it from scratch (it is small — aggregate
-    // results) and keep no cross-batch state.
-    sketch_.Clear();
-    sink_rows_.clear();
-    pending_.clear();
-    emitted_order_.clear();
-    emitted_set_.clear();
-    sink_bytes_ = 0;
-    pending_bytes_ = 0;
-    emitted_bytes_ = 0;
-    stats->recomputed_rows += input_deltas[0].size();
-  } else {
-    for (const RowBatch& delta : input_deltas) {
-      stats->input_rows += delta.size();
-    }
+  assert(!stateless_);
+  for (const DeltaView& delta : input_deltas) {
+    stats->input_rows += delta.size();
   }
+  // A single-input block reads its delta in place; a join's output rows
+  // are new, so they are built owned.
+  if (input_deltas.size() == 1) {
+    return EvaluateBatch(batch, scale, input_deltas[0], nullptr, stats);
+  }
+  RowBatch joined = JoinDeltas(input_deltas);
+  return EvaluateBatch(batch, scale, DeltaView(joined), &joined, stats);
+}
 
-  RowBatch fresh = JoinDeltas(input_deltas);
+int BlockExecutor::ProcessSnapshot(int batch, double scale, RowBatch snapshot,
+                                   BlockBatchStats* stats) {
+  assert(stateless_);
+  // Snapshot consumer: the controller passes the upstream's full output
+  // relation; re-evaluate it from scratch (it is small — aggregate
+  // results) and keep no cross-batch state.
+  sketch_.Clear();
+  sink_rows_.clear();
+  pending_.clear();
+  emitted_order_.clear();
+  emitted_set_.clear();
+  sink_bytes_ = 0;
+  pending_bytes_ = 0;
+  emitted_bytes_ = 0;
+  stats->recomputed_rows += snapshot.size();
+  return EvaluateBatch(batch, scale, DeltaView(snapshot), &snapshot, stats);
+}
+
+int BlockExecutor::EvaluateBatch(int batch, double scale,
+                                 const DeltaView& fresh, RowBatch* owned,
+                                 BlockBatchStats* stats) {
+  assert(owned != nullptr || !any_attr_uncertain_);
   // What the shuffle cost model charges for this batch's fresh rows (plus
   // per-row bootstrap overhead for streamed rows).
-  for (const ExecRow& row : fresh) {
+  for (const RowRef row : fresh) {
     stats->shipped_bytes += row.ByteSize();
     if (row.FromStream()) stats->shipped_bytes += bootstrap_.RowOverheadBytes();
   }
@@ -498,16 +537,15 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     stats->shipped_bytes += pending_bytes_;
   }
 
-  // Evaluation phase over fresh ∪ pending rows: refresh, classify (with
-  // buffered constraints), and the per-trial re-evaluations of rows bound
-  // for the non-deterministic path. Evaluations read only the row and the
-  // registry — which is frozen until the apply phase replays constraints
-  // and PublishOutput republishes — so rows are independent and the pass
-  // parallelizes without changing any outcome.
+  // Evaluation phase over fresh ∪ pending rows: refresh (owned rows only),
+  // classify (with buffered constraints), and the per-trial re-evaluations
+  // of rows bound for the non-deterministic path. Evaluations read only the
+  // row and the registry — which is frozen until the apply phase replays
+  // constraints and PublishOutput republishes — so rows are independent
+  // and the pass parallelizes without changing any outcome.
   const size_t num_fresh = fresh.size();
   const size_t total_rows = num_fresh + pending_.size();
-  row_scratch_.clear();
-  row_scratch_.resize(total_rows);
+  if (row_scratch_.size() < total_rows) row_scratch_.resize(total_rows);
   // Row i's packed-multiplicity slot (only aggregate blocks fill one).
   const size_t slot_bytes =
       block_->has_aggregate() ? static_cast<size_t>(bootstrap_.num_trials())
@@ -525,9 +563,16 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     ExprProgramState* prog_state =
         row_program_ != nullptr ? &prog_states_[lane] : nullptr;
     for (size_t i = begin; i < end; ++i) {
-      ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-      EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                  weights_slot(i), &row_scratch_[i], prog_state);
+      if (i < num_fresh) {
+        if (owned != nullptr) {
+          RefreshRow(&(*owned)[i], /*charge_regeneration=*/false);
+        }
+        EvaluateRow(fresh[i], weights_slot(i), &row_scratch_[i], prog_state);
+      } else {
+        ExecRow& row = pending_[i - num_fresh];
+        RefreshRow(&row, /*charge_regeneration=*/true);
+        EvaluateRow(row, weights_slot(i), &row_scratch_[i], prog_state);
+      }
     }
   };
   if (pool_ != nullptr) {
@@ -544,7 +589,8 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   if (block_->has_aggregate()) {
     size_t certain_rows = 0;
     size_t pending_rows = 0;
-    for (const RowEval& ev : row_scratch_) {
+    for (size_t i = 0; i < total_rows; ++i) {
+      const RowEval& ev = row_scratch_[i];
       if (ev.truth == IntervalTruth::kAlwaysFalse) continue;
       if (ev.pending_route) {
         ++pending_rows;
@@ -577,8 +623,13 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
           break;
       }
     }
-    ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-    RouteRow(std::move(row), i, batch, &temp, &new_pending);
+    if (i < num_fresh) {
+      RouteRow(fresh[i], owned != nullptr ? &(*owned)[i] : nullptr, i, batch,
+               &temp, &new_pending);
+    } else {
+      ExecRow& row = pending_[i - num_fresh];
+      RouteRow(row, &row, i, batch, &temp, &new_pending);
+    }
   }
   pending_ = std::move(new_pending);
 
@@ -586,9 +637,9 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   // before publication reads the accumulators.
   FlushDeferredTrials();
 
-  const int rollback = PublishOutput(batch, scale, temp, stats);
-  row_scratch_.clear();
-  return rollback;
+  stats->rows_materialized += rows_materialized_;
+  rows_materialized_ = 0;
+  return PublishOutput(batch, scale, temp, stats);
 }
 
 int BlockExecutor::PublishOutput(int batch, double scale,
@@ -888,8 +939,15 @@ Table BlockExecutor::CurrentSpjOutput(
     out.AddRow(std::move(projected));
     return true;
   };
-  auto emit = [&](ExecRow row) {
-    RefreshRow(&row, /*charge_regeneration=*/false);
+  auto emit = [&](const ExecRow& stored) {
+    // Uncertain attributes are re-read from the registry on every output;
+    // a block without them emits the stored row as it is.
+    ExecRow refreshed;
+    if (any_attr_uncertain_) {
+      refreshed = stored;
+      RefreshRow(&refreshed, /*charge_regeneration=*/false);
+    }
+    const ExecRow& row = any_attr_uncertain_ ? refreshed : stored;
     if (emit_compiled(row)) return;
     ctx.trial = -1;
     Row projected;
@@ -914,7 +972,7 @@ Table BlockExecutor::CurrentSpjOutput(
     out.AddRow(std::move(projected));
   };
   for (const ExecRow& row : sink_rows_) emit(row);
-  for (const ExecRow& row : pending_passing_) emit(row);
+  for (uint32_t pos : pending_passing_) emit(pending_[pos]);
   return out;
 }
 

@@ -129,6 +129,8 @@ struct BlockBatchStats {
   /// What the shuffle/broadcast cost model charges for this batch (see
   /// kModelWorkers in delta_engine.cc).
   uint64_t shipped_bytes = 0;
+  /// Rows copied into an owned ExecRow (see BatchMetrics).
+  uint64_t rows_materialized = 0;
 };
 
 /// Executes one lineage block incrementally: join deltas through cached
@@ -149,13 +151,20 @@ class BlockExecutor {
                 BootstrapWeights bootstrap, bool consumed_downstream,
                 bool feeds_join, ThreadPool* pool = nullptr);
 
-  /// Runs one mini-batch. `input_deltas[k]` holds the new rows of input k
-  /// this batch; `scale` is m_i = |D| / |D_i|. Returns kNoRollback on
-  /// success, otherwise the batch to roll back to (-1 = full restart) after
-  /// a variation-range integrity failure.
+  /// Runs one mini-batch. `input_deltas[k]` views the new rows of input k
+  /// this batch (borrowed: valid for this call only); `scale` is
+  /// m_i = |D| / |D_i|. Returns kNoRollback on success, otherwise the batch
+  /// to roll back to (-1 = full restart) after a variation-range integrity
+  /// failure. Not for snapshot consumers (see ProcessSnapshot).
   int ProcessBatch(int batch, double scale,
-                   const std::vector<RowBatch>& input_deltas,
+                   const std::vector<DeltaView>& input_deltas,
                    BlockBatchStats* stats);
+
+  /// ProcessBatch for a snapshot consumer (stateless()): `snapshot` is the
+  /// upstream's full output relation this batch, handed over so the
+  /// consumer refreshes its uncertain attributes in place.
+  int ProcessSnapshot(int batch, double scale, RowBatch snapshot,
+                      BlockBatchStats* stats);
 
   /// Groups that first appeared this batch (keys + current values), the
   /// delta feed for downstream kBlockOutput joins.
@@ -334,6 +343,9 @@ class BlockExecutor {
     /// Agg args per surviving trial, flattened [t * num_aggs + a].
     std::vector<Value> trial_vals;
     std::vector<ConstraintOp> constraints;
+
+    /// Back to a fresh slot's state, keeping the vectors' capacity.
+    void Reset();
   };
 
   /// Deferred trial-replica contribution of a certain row: the same value
@@ -357,8 +369,18 @@ class BlockExecutor {
 
   EvalContext MainContext() const;
 
-  /// Incremental multi-way join of this batch's input deltas.
-  RowBatch JoinDeltas(const std::vector<RowBatch>& input_deltas);
+  /// Incremental multi-way join of this batch's input deltas (two or
+  /// more inputs); the joined rows are owned.
+  RowBatch JoinDeltas(const std::vector<DeltaView>& input_deltas);
+
+  /// Evaluates and routes this batch's fresh rows plus the saved
+  /// non-deterministic set, then publishes. `owned` (nullable) is the
+  /// storage `fresh` views when the executor owns it: those rows are
+  /// refreshed in place and moved, not copied, into the state they enter.
+  /// Borrowed rows are never written (a block that reads them has no
+  /// uncertain attribute to refresh).
+  int EvaluateBatch(int batch, double scale, const DeltaView& fresh,
+                    RowBatch* owned, BlockBatchStats* stats);
 
   /// Refreshes the row's uncertain attributes in place by re-evaluating
   /// their lineage (§6.2). With `charge_regeneration` (OPT2 off, for saved
@@ -369,43 +391,46 @@ class BlockExecutor {
   /// Classifies the filter decision for `row` (§5.2 SELECT rule),
   /// registering decided-outcome obligations onto `sink` (buffered; the
   /// caller replays them serially).
-  IntervalTruth Classify(const ExecRow& row, RangeConstraintSink* sink) const;
+  IntervalTruth Classify(RowRef row, RangeConstraintSink* sink) const;
 
-  /// Evaluation phase for one row: refresh, classify, pack the row's
-  /// bootstrap multiplicities into `weights` (num_trials bytes, the row's
-  /// own slot) when it feeds an aggregate, and — when the row routes to the
-  /// non-deterministic path — the per-trial filter/argument evaluations.
-  /// Pure except for the in-place row refresh and the row's own slots;
-  /// safe to run concurrently per row. `prog_state` is the caller's
-  /// lane-private compiled-program scratch (null = interpret).
-  void EvaluateRow(ExecRow* row, bool charge_regeneration, uint8_t* weights,
-                   RowEval* ev, ExprProgramState* prog_state) const;
+  /// Evaluation phase for one (already refreshed) row: classify, pack the
+  /// row's bootstrap multiplicities into `weights` (num_trials bytes, the
+  /// row's own slot) when it feeds an aggregate, and — when the row routes
+  /// to the non-deterministic path — the per-trial filter/argument
+  /// evaluations. Resets `ev` first, so it overwrites a reused slot (and a
+  /// retried attempt) completely. Writes only the row's own slots; safe to
+  /// run concurrently per row. `prog_state` is the caller's lane-private
+  /// compiled-program scratch (null = interpret).
+  void EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
+                   ExprProgramState* prog_state) const;
 
   /// Compiled fast path for the non-deterministic part of EvaluateRow:
   /// one Bind (prologue + batched aggregate probes) plus the per-trial
   /// epilogue via EvalTrials. Returns false when the row hit a construct
   /// the program does not cover — the caller redoes the row with the
   /// interpreter, so results never change.
-  bool EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
+  bool EvaluateRowCompiled(RowRef row, RowEval* ev,
                            ExprProgramState* ps) const;
 
   /// Routes an evaluated row: sketch/sink for certain rows, the pending
-  /// (non-deterministic) set otherwise. Serial apply phase.
-  void RouteRow(ExecRow row, size_t eval_idx, int batch,
+  /// (non-deterministic) set otherwise. A row entering the sink or the
+  /// pending set is moved from `owned` when non-null, else copied (and
+  /// counted in rows_materialized_). Serial apply phase.
+  void RouteRow(RowRef row, ExecRow* owned, size_t eval_idx, int batch,
                 GroupedAggregateState* temp, std::vector<ExecRow>* new_pending)
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Adds a certain row's aggregate contributions to `target`: main
   /// replicas immediately, trial replicas deferred to the flush. `weights`
   /// is the row's packed multiplicities (RowEval::weights).
-  void AccumulateCertain(const ExecRow& row, const uint8_t* weights,
-                         int batch, GroupedAggregateState* target)
+  void AccumulateCertain(RowRef row, const uint8_t* weights, int batch,
+                         GroupedAggregateState* target)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Applies a pending row's revocable contributions to `temp` from its
-  /// precomputed RowEval: main accumulators immediately, trial replicas
-  /// deferred to the flush.
-  void ApplyPending(const ExecRow& row, size_t eval_idx, int batch,
+  /// Applies a pending row of an aggregate block: its revocable
+  /// contributions go to `temp` from its precomputed RowEval, main
+  /// accumulators immediately, trial replicas deferred to the flush.
+  void ApplyPending(RowRef row, size_t eval_idx, int batch,
                     GroupedAggregateState* temp)
       IOLAP_REQUIRES(engine_serial_phase);
 
@@ -422,7 +447,7 @@ class BlockExecutor {
   int PublishOutput(int batch, double scale, const GroupedAggregateState& temp,
                     BlockBatchStats* stats) IOLAP_REQUIRES(engine_serial_phase);
 
-  Row GroupKeyOf(const ExecRow& row) const;
+  Row GroupKeyOf(RowRef row) const;
 
   /// Converts unscaled analytic stddevs into presentation stddevs: scaled
   /// like the aggregate and shrunk by the finite-population correction
@@ -451,6 +476,9 @@ class BlockExecutor {
   bool consumed_downstream_;
   bool feeds_join_;
   bool any_agg_arg_uncertain_ = false;
+  /// Some SPJ column has lineage (it reads an upstream aggregate), so
+  /// RefreshRow rewrites rows. Only blocks with a block-output input.
+  bool any_attr_uncertain_ = false;
   bool classification_disabled_ = false;
   bool pruning_disabled_ = false;
   bool rollback_injected_ = false;
@@ -491,23 +519,30 @@ class BlockExecutor {
   size_t emitted_bytes_ = 0;
   std::unordered_set<Row, RowHash, RowEq> emitted_set_;
   RowBatch new_output_rows_;
-  RowBatch pending_passing_;  // non-agg block: pending rows passing now
+  /// Non-aggregate block: positions in pending_ of the rows passing now.
+  std::vector<uint32_t> pending_passing_;
   std::vector<OutputGroup> latest_output_;
   /// Groups whose last publication included a revocable (non-deterministic)
   /// contribution: they must be republished even if untouched, because the
   /// contribution may have lapsed.
   std::unordered_set<Row, RowHash, RowEq> prev_temp_keys_;
 
-  // Per-batch scratch (cleared at the end of ProcessBatch; members only to
-  // reuse capacity across batches). Deferred records hold accumulator
-  // pointers, which are stable: GroupCells live on the heap, a cell is
-  // opened (cloned if frozen) before the first pointer into it is taken,
-  // and no capture runs before the flush, so the pointer stays the live
-  // cell's. Their `aggs` vectors are sized once at creation.
+  /// Rows copied into an owned ExecRow this batch; folded into the batch's
+  /// stats when it ends.
+  uint64_t rows_materialized_ = 0;
+
+  // Per-batch scratch (members only to reuse capacity across batches).
+  /// One slot per evaluated row; grown, never shrunk (EvaluateRow resets
+  /// a slot before filling it, and only the batch's first rows are read).
   std::vector<RowEval> row_scratch_;
   /// Packed bootstrap multiplicities, num_trials bytes per evaluated row
   /// (slot i belongs to row_scratch_[i]); grown, never shrunk.
   std::vector<uint8_t> row_weights_;
+  // Deferred trial adds, drained by FlushDeferredTrials. They hold
+  // accumulator pointers, which are stable: GroupCells live on the heap, a
+  // cell is opened (cloned if frozen) before the first pointer into it is
+  // taken, and no capture runs before the flush, so the pointer stays the
+  // live cell's. Their `aggs` vectors are sized once at creation.
   std::vector<CertainTrialAdd> deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;
 };

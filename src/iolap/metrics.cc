@@ -40,6 +40,12 @@ double QueryMetrics::AvgShippedBytesPerBatch() const {
   return static_cast<double>(TotalShippedBytes()) / batches.size();
 }
 
+uint64_t QueryMetrics::TotalRowsMaterialized() const {
+  uint64_t total = 0;
+  for (const auto& b : batches) total += b.rows_materialized;
+  return total;
+}
+
 int QueryMetrics::TotalFailureRecoveries() const {
   int total = 0;
   for (const auto& b : batches) total += b.failure_recoveries;
@@ -118,10 +124,11 @@ std::string QueryMetrics::Summary() const {
   char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "batches=%zu total=%.3fs cpu=%.3fs recomputed=%llu "
-                "shipped=%.1fMB failures=%d "
+                "materialized=%llu shipped=%.1fMB failures=%d "
                 "peak_join_state=%.1fMB peak_other_state=%.1fKB",
                 batches.size(), TotalLatencySec(), TotalCpuSec(),
                 static_cast<unsigned long long>(TotalRecomputedRows()),
+                static_cast<unsigned long long>(TotalRowsMaterialized()),
                 TotalShippedBytes() / 1e6, TotalFailureRecoveries(),
                 PeakJoinStateBytes() / 1e6, PeakOtherStateBytes() / 1e3);
   std::string out = buf;

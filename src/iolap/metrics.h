@@ -44,6 +44,12 @@ struct BatchMetrics {
   /// rows re-shipped when OPT2 is off, and each refreshed aggregate
   /// relation broadcast to a virtual cluster (EXPERIMENTS.md).
   uint64_t shipped_bytes = 0;
+  /// Rows copied into an owned ExecRow this batch, replays included: rows
+  /// entering the pending set or the SPJ sink from a borrowed delta, JOIN
+  /// cache appends, join outputs and snapshot-consumer input rows. Rows
+  /// read in place from a catalog table, and owned rows moved between
+  /// states, cost nothing here.
+  uint64_t rows_materialized = 0;
   /// Variation-range integrity failures that triggered recovery this batch
   /// (Fig. 9(d)).
   int failure_recoveries = 0;
@@ -96,6 +102,7 @@ struct QueryMetrics {
   uint64_t TotalShippedBytes() const;
   uint64_t MaxShippedBytesPerBatch() const;
   double AvgShippedBytesPerBatch() const;
+  uint64_t TotalRowsMaterialized() const;
   int TotalFailureRecoveries() const;
   int TotalFullRestarts() const;
   int TotalCorruptCheckpoints() const;

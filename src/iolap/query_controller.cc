@@ -135,21 +135,6 @@ void QueryController::FoldVerifierStats() {
   }
 }
 
-RowBatch QueryController::StreamDelta(int b) const {
-  RowBatch delta;
-  if (streamed_table_ == nullptr) return delta;
-  const auto& ids = layout_.batches[b];
-  delta.reserve(ids.size());
-  for (uint64_t id : ids) {
-    ExecRow row;
-    row.values = streamed_table_->row(id);
-    row.weight = 1.0;
-    row.stream_uid = id;
-    delta.push_back(std::move(row));
-  }
-  return delta;
-}
-
 double QueryController::ScaleAt(int b) const {
   if (streamed_table_ == nullptr || seen_rows_[b] == 0) return 1.0;
   return static_cast<double>(streamed_table_->num_rows()) /
@@ -158,47 +143,54 @@ double QueryController::ScaleAt(int b) const {
 
 int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
                                      bool* injected_only) {
-  const RowBatch stream_delta = StreamDelta(b);
   const double scale = ScaleAt(b);
   int rollback = BlockExecutor::kNoRollback;
   bool injected = true;
 
   for (size_t blk = 0; blk < plan_.blocks.size(); ++blk) {
     const Block& block = plan_.blocks[blk];
-    std::vector<RowBatch> deltas(block.inputs.size());
-    for (size_t k = 0; k < block.inputs.size(); ++k) {
-      const BlockInput& input = block.inputs[k];
-      if (input.kind == BlockInput::Kind::kBaseTable) {
-        if (input.streamed) {
-          deltas[k] = stream_delta;
-        } else if (b == 0) {
-          auto entry = catalog_->Find(input.table_name);
-          // Validated at Init; an entry is always present here.
-          const Table& table = *(*entry)->table;
-          deltas[k].reserve(table.num_rows());
-          for (const Row& r : table.rows()) {
-            ExecRow row;
-            row.values = r;
-            deltas[k].push_back(std::move(row));
-          }
-        }
-      } else if (executors_[blk]->stateless()) {
-        // Snapshot consumer: the upstream's full, ghost-free output
-        // relation of this batch.
-        for (const auto& group : executors_[input.source_block]->latest_output()) {
-          ExecRow row;
-          row.values = group.key;
-          row.values.insert(row.values.end(), group.main.begin(),
-                            group.main.end());
-          deltas[k].push_back(std::move(row));
-        }
-      } else {
-        deltas[k] = executors_[input.source_block]->new_output_rows();
+    BlockExecutor& executor = *executors_[blk];
+    int request = BlockExecutor::kNoRollback;
+    if (executor.stateless()) {
+      // Snapshot consumer: the upstream's full, ghost-free output relation
+      // of this batch, built as rows the consumer then owns.
+      const auto& groups =
+          executors_[block.inputs[0].source_block]->latest_output();
+      RowBatch snapshot;
+      snapshot.reserve(groups.size());
+      for (const auto& group : groups) {
+        ExecRow row;
+        row.values = group.key;
+        row.values.insert(row.values.end(), group.main.begin(),
+                          group.main.end());
+        snapshot.push_back(std::move(row));
       }
+      stats->rows_materialized += snapshot.size();
+      request = executor.ProcessSnapshot(b, scale, std::move(snapshot), stats);
+    } else {
+      // Every other input is read in place: streamed rows and static
+      // tables from the catalog, block outputs from their executor. The
+      // views live until ProcessBatch returns.
+      std::vector<DeltaView> deltas(block.inputs.size());
+      for (size_t k = 0; k < block.inputs.size(); ++k) {
+        const BlockInput& input = block.inputs[k];
+        if (input.kind == BlockInput::Kind::kBaseTable) {
+          if (input.streamed) {
+            deltas[k] = DeltaView::Stream(*streamed_table_, layout_.batches[b]);
+          } else if (b == 0) {
+            auto entry = catalog_->Find(input.table_name);
+            // Validated at Init; an entry is always present here.
+            deltas[k] = DeltaView::AllRows(*(*entry)->table);
+          }
+        } else {
+          deltas[k] =
+              DeltaView(executors_[input.source_block]->new_output_rows());
+        }
+      }
+      request = executor.ProcessBatch(b, scale, deltas, stats);
     }
-    const int request = executors_[blk]->ProcessBatch(b, scale, deltas, stats);
     if (request != BlockExecutor::kNoRollback) {
-      injected = injected && executors_[blk]->rollback_injected();
+      injected = injected && executor.rollback_injected();
       if (rollback == BlockExecutor::kNoRollback || request < rollback) {
         rollback = request;
       }
@@ -354,6 +346,7 @@ Status QueryController::Run(const ResultObserver& observer) {
         bm.recomputed_rows += replay_stats.input_rows;
         bm.recomputed_rows += replay_stats.recomputed_rows;
         bm.shipped_bytes += replay_stats.shipped_bytes;
+        bm.rows_materialized += replay_stats.rows_materialized;
         if (bb < b) {
           // Re-checkpoint replayed batches so a later failure can land on
           // them again.
@@ -395,6 +388,7 @@ Status QueryController::Run(const ResultObserver& observer) {
     bm.input_rows = stats.input_rows;
     bm.recomputed_rows += stats.recomputed_rows;
     bm.shipped_bytes += stats.shipped_bytes;
+    bm.rows_materialized += stats.rows_materialized;
     for (const auto& executor : executors_) {
       bm.join_state_bytes += executor->JoinStateBytes();
       bm.other_state_bytes += executor->OtherStateBytes();

@@ -102,9 +102,6 @@ class QueryController {
   /// (possibly overridden) rollback target.
   int ApplyDegradation(int attempts, int rollback, BatchMetrics* bm);
 
-  /// Builds the ExecRow delta of the streamed relation for batch `b`.
-  RowBatch StreamDelta(int b) const;
-
   double ScaleAt(int b) const;
 
   /// Assembles the user-facing result after a batch.

@@ -7,7 +7,9 @@
 //  * restoring any ring entry, after later batches replaced its cells by
 //    copy-on-write clones, replays bit-identically;
 //  * after every batch — also after restores and full restarts — the byte
-//    counters equal a from-scratch rescan of the state they describe.
+//    counters equal a from-scratch rescan of the state they describe,
+//    including the JOIN caches, which copy the rows they take out of
+//    borrowed batch deltas.
 
 #include <gtest/gtest.h>
 
@@ -61,6 +63,26 @@ class CheckpointTestPeer {
         for (const VariationRangeTracker& tracker : entry.ranges) {
           total += tracker.ByteSize();
         }
+      }
+    }
+    return total;
+  }
+
+  /// Bytes of every JOIN cache (BatchMetrics::join_state_bytes), counted
+  /// row by row.
+  static size_t RescanJoinStateBytes(const QueryController& controller) {
+    const auto rescan = [](const InputCache& cache) {
+      size_t bytes = 0;
+      for (uint32_t pos = 0; pos < cache.size(); ++pos) {
+        bytes += cache.row(pos).ByteSize();
+      }
+      return bytes;
+    };
+    size_t total = 0;
+    for (const auto& executor : controller.executors_) {
+      for (const JoinStep& step : executor->join_steps_) {
+        total += rescan(step.input_cache_);
+        if (step.keep_prefix_) total += rescan(step.prefix_cache_);
       }
     }
     return total;
@@ -291,11 +313,12 @@ TEST(CheckpointTest, RestoreAnyRingEntryReplaysBitIdentical) {
 }
 
 // After every batch the running byte counters — what BatchMetrics reports
-// as other_state_bytes, and each relation's RelationBytes — equal a
-// from-scratch rescan. The schedules add a restore (depth 2), a full
-// restart (depth past the ring) and a corrupt-checkpoint escalation. With
-// OPT2 off the pending counter is also what the shipped-bytes model charges
-// for re-shipping the saved rows, so both modes are checked.
+// as join_state_bytes and other_state_bytes, and each relation's
+// RelationBytes — equal a from-scratch rescan. The schedules add a restore
+// (depth 2), a full restart (depth past the ring) and a corrupt-checkpoint
+// escalation. With OPT2 off the pending counter is also what the
+// shipped-bytes model charges for re-shipping the saved rows, so both
+// modes are checked.
 TEST(CheckpointTest, ByteCountersMatchRescanOverCorpus) {
   const std::vector<std::string> schedules = {
       "",
@@ -316,6 +339,8 @@ TEST(CheckpointTest, ByteCountersMatchRescanOverCorpus) {
             const BatchMetrics& bm = ctl.metrics().batches.back();
             EXPECT_EQ(bm.other_state_bytes,
                       CheckpointTestPeer::RescanOtherStateBytes(ctl));
+            EXPECT_EQ(bm.join_state_bytes,
+                      CheckpointTestPeer::RescanJoinStateBytes(ctl));
             const AggregateRegistry& registry =
                 CheckpointTestPeer::Registry(ctl);
             for (size_t b = 0; b < ctl.plan().blocks.size(); ++b) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "catalog/catalog.h"
 #include "common/random.h"
@@ -807,6 +808,116 @@ TEST(RecoveryInjectionTest, InjectedVerdictRollsBackAndReplaysBitIdentical) {
   EXPECT_EQ(natural.TotalInjectedFaults(), 0);
   EXPECT_GE(natural.TotalFrozenReplayBatches(), 1);
   EXPECT_GE(natural.MaxRollbackDepth(), 1);
+}
+
+// Row ownership (docs/INTERNALS.md §2): a block reads its batch delta in
+// place and copies a row only when it enters owned state — the pending
+// set, the SPJ sink, a JOIN cache — or is built new (join outputs,
+// snapshot-consumer input).
+
+std::vector<uint64_t> MaterializedPerBatch(const QueryMetrics& metrics) {
+  std::vector<uint64_t> counts;
+  for (const BatchMetrics& bm : metrics.batches) {
+    counts.push_back(bm.rows_materialized);
+  }
+  return counts;
+}
+
+struct CorpusQuery {
+  std::string name;
+  std::shared_ptr<Catalog> catalog;
+  std::string sql;
+};
+
+std::vector<CorpusQuery> SmallCorpus() {
+  std::vector<CorpusQuery> corpus;
+  std::map<std::string, std::shared_ptr<Catalog>> tpch;
+  for (const BenchQuery& q : TpchQueries()) {
+    if (tpch.count(q.streamed_table) == 0) {
+      TpchConfig config;
+      auto catalog = MakeTpchCatalog(config.Scaled(0.01), q.streamed_table);
+      EXPECT_TRUE(catalog.ok()) << catalog.status();
+      tpch[q.streamed_table] = *catalog;
+    }
+    corpus.push_back({"tpch_" + q.id, tpch[q.streamed_table], q.sql});
+  }
+  ConvivaConfig config;
+  auto conviva = MakeConvivaCatalog(config.Scaled(0.01));
+  EXPECT_TRUE(conviva.ok()) << conviva.status();
+  for (const BenchQuery& q : ConvivaQueries()) {
+    corpus.push_back({"conviva_" + q.id, *conviva, q.sql});
+  }
+  return corpus;
+}
+
+QueryMetrics RunForMetrics(const CorpusQuery& q, EngineOptions options) {
+  auto functions = FunctionRegistry::Default();
+  RegisterConvivaUdfs(functions.get());
+  Session session(q.catalog.get(), options, functions);
+  auto query = session.Sql(q.sql);
+  EXPECT_TRUE(query.ok()) << q.name << ": " << query.status();
+  if (!query.ok()) return {};
+  const Status status = (*query)->Run(nullptr);
+  EXPECT_TRUE(status.ok()) << q.name << ": " << status;
+  return (*query)->metrics();
+}
+
+// Flat single-table aggregates (q1, q6) keep nothing per row: every
+// streamed row is classified and folded into the sketch straight from the
+// catalog table, in the iOLAP and the baseline engine alike.
+TEST(RowMaterializationTest, FlatAggregatesCopyNoRow) {
+  size_t checked = 0;
+  for (const CorpusQuery& q : SmallCorpus()) {
+    if (q.name != "tpch_q1" && q.name != "tpch_q6") continue;
+    for (ExecutionMode mode : {ExecutionMode::kIolap, ExecutionMode::kBaseline}) {
+      SCOPED_TRACE(q.name + (mode == ExecutionMode::kIolap ? " iolap"
+                                                           : " baseline"));
+      EngineOptions options;
+      options.mode = mode;
+      options.num_trials = 10;
+      options.num_batches = 5;
+      const QueryMetrics metrics = RunForMetrics(q, options);
+      ASSERT_FALSE(metrics.batches.empty());
+      for (uint64_t count : MaterializedPerBatch(metrics)) {
+        EXPECT_EQ(count, 0u);
+      }
+      EXPECT_GT(metrics.batches[0].input_rows, 0u);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 4u);
+}
+
+// The per-batch count is a property of the data and the plan: the same at
+// any thread count and with the expression compiler on or off. Joins copy
+// (cache appends and outputs), so the corpus total is positive.
+TEST(RowMaterializationTest, CountIsDeterministicOverCorpus) {
+  uint64_t corpus_total = 0;
+  for (const CorpusQuery& q : SmallCorpus()) {
+    SCOPED_TRACE(q.name);
+    std::vector<uint64_t> want;
+    bool first = true;
+    for (bool compile : {true, false}) {
+      for (size_t threads : {size_t{0}, size_t{4}}) {
+        EngineOptions options;
+        options.num_trials = 10;
+        options.num_batches = 5;
+        options.seed = 21;
+        options.compile_expressions = compile;
+        options.num_threads = threads;
+        const std::vector<uint64_t> got =
+            MaterializedPerBatch(RunForMetrics(q, options));
+        if (first) {
+          want = got;
+          for (uint64_t count : got) corpus_total += count;
+          first = false;
+        }
+        EXPECT_EQ(got, want) << "compile=" << compile
+                             << " threads=" << threads;
+      }
+    }
+  }
+  EXPECT_GT(corpus_total, 0u);
 }
 
 }  // namespace

@@ -36,9 +36,37 @@ TEST(ExecRowTest, ConcatUidFromRightSide) {
   EXPECT_EQ(joined.stream_uid, 9u);
 }
 
-TEST(ExecRowTest, BatchByteSize) {
-  RowBatch batch = {MakeRow({1, 2}), MakeRow({3, 4})};
-  EXPECT_GT(BatchByteSize(batch), 2 * 16u);
+TEST(ExecRowTest, RowRefReadsAndCopiesTheRow) {
+  ExecRow row = MakeRow({1, 2}, 5);
+  row.weight = 2.0;
+  const RowRef ref = row;
+  EXPECT_EQ(&ref.values, &row.values);
+  EXPECT_EQ(ref.ByteSize(), row.ByteSize());
+  const ExecRow copy = ref.ToOwned();
+  EXPECT_EQ(copy.values.size(), 2u);
+  EXPECT_DOUBLE_EQ(copy.weight, 2.0);
+  EXPECT_EQ(copy.stream_uid, 5u);
+}
+
+TEST(DeltaViewTest, StreamAndAllRowsReadTheTableInPlace) {
+  Table table;
+  for (int64_t i = 0; i < 4; ++i) table.AddRow({Value::Int64(10 * i)});
+  const std::vector<uint64_t> ids = {3, 1};
+  const DeltaView stream = DeltaView::Stream(table, ids);
+  ASSERT_EQ(stream.size(), 2u);
+  EXPECT_EQ(&stream[0].values, &table.row(3));
+  EXPECT_EQ(stream[0].stream_uid, 3u);
+  EXPECT_DOUBLE_EQ(stream[0].weight, 1.0);
+  EXPECT_EQ(stream[1].stream_uid, 1u);
+
+  const DeltaView all = DeltaView::AllRows(table);
+  ASSERT_EQ(all.size(), 4u);
+  size_t i = 0;
+  for (const RowRef row : all) {
+    EXPECT_EQ(&row.values, &table.row(i++));
+    EXPECT_FALSE(row.FromStream());
+  }
+  EXPECT_EQ(DeltaView().size(), 0u);
 }
 
 // --------------------------------------------------------- InputCache
@@ -71,6 +99,12 @@ TEST(InputCacheTest, TruncateRollsBackIndexAndBytes) {
 
 // ------------------------------------------------------------ JoinStep
 
+// Joins owned batches through views over them.
+size_t Join(JoinStep* step, const RowBatch& prefix, const RowBatch& input,
+            RowBatch* out) {
+  return step->ProcessBatch(DeltaView(prefix), DeltaView(input), out);
+}
+
 // Incremental Δ(P ⋈ I) over several batches must equal the full join.
 TEST(JoinStepTest, IncrementalEqualsFullJoin) {
   JoinStep step({0}, {0}, /*input_grows=*/true, /*prefix_grows=*/true);
@@ -82,7 +116,7 @@ TEST(JoinStepTest, IncrementalEqualsFullJoin) {
     for (auto [k, v] : left) lp.push_back(MakeRow({k, v}));
     for (auto [k, v] : right) rp.push_back(MakeRow({k, v}));
     RowBatch out;
-    step.ProcessBatch(lp, rp, &out);
+    Join(&step, lp, rp, &out);
     for (const ExecRow& row : out) {
       produced.emplace_back(static_cast<int>(row.values[1].int64()),
                             static_cast<int>(row.values[3].int64()));
@@ -112,7 +146,8 @@ TEST(JoinStepTest, NoDuplicatesWithinBatch) {
   RowBatch left = {MakeRow({1, 100})};
   RowBatch right = {MakeRow({1, 200})};
   RowBatch out;
-  step.ProcessBatch(left, right, &out);
+  // Two cache appends and one joined row copied.
+  EXPECT_EQ(Join(&step, left, right, &out), 3u);
   EXPECT_EQ(out.size(), 1u);  // ΔP⋈ΔI counted exactly once
 }
 
@@ -121,11 +156,11 @@ TEST(JoinStepTest, StaticInputKeepsNoPrefixCache) {
   JoinStep step({0}, {0}, /*input_grows=*/false, /*prefix_grows=*/true);
   RowBatch dim = {MakeRow({1, 7})};
   RowBatch out;
-  step.ProcessBatch({}, dim, &out);
+  Join(&step, {}, dim, &out);
   const size_t bytes_after_dim = step.StateBytes();
   RowBatch fact = {MakeRow({1, 1}), MakeRow({1, 2})};
   out.clear();
-  step.ProcessBatch(fact, {}, &out);
+  Join(&step, fact, {}, &out);
   EXPECT_EQ(out.size(), 2u);
   // Only the dimension side is cached; fact rows were not added.
   EXPECT_EQ(step.StateBytes(), bytes_after_dim);
@@ -134,20 +169,20 @@ TEST(JoinStepTest, StaticInputKeepsNoPrefixCache) {
 TEST(JoinStepTest, WatermarkRollback) {
   JoinStep step({0}, {0}, true, true);
   RowBatch out;
-  step.ProcessBatch({MakeRow({1, 1})}, {MakeRow({1, 10})}, &out);
+  Join(&step, {MakeRow({1, 1})}, {MakeRow({1, 10})}, &out);
   const auto mark = step.watermark();
-  step.ProcessBatch({MakeRow({1, 2})}, {MakeRow({1, 20})}, &out);
+  Join(&step, {MakeRow({1, 2})}, {MakeRow({1, 20})}, &out);
   step.TruncateTo(mark);
   // Replaying the second batch reproduces the same deltas.
   RowBatch replay;
-  step.ProcessBatch({MakeRow({1, 2})}, {MakeRow({1, 20})}, &replay);
+  Join(&step, {MakeRow({1, 2})}, {MakeRow({1, 20})}, &replay);
   EXPECT_EQ(replay.size(), 3u);  // (1,20), (2,10), (2,20)
 }
 
 TEST(JoinStepTest, CrossJoinEmptyKeys) {
   JoinStep step({}, {}, true, true);
   RowBatch out;
-  step.ProcessBatch({MakeRow({1}), MakeRow({2})}, {MakeRow({10})}, &out);
+  Join(&step, {MakeRow({1}), MakeRow({2})}, {MakeRow({10})}, &out);
   EXPECT_EQ(out.size(), 2u);
 }
 
@@ -156,9 +191,129 @@ TEST(JoinStepTest, ProbeCount) {
   RowBatch dim;
   for (int i = 0; i < 5; ++i) dim.push_back(MakeRow({i % 2, i}));
   RowBatch out;
-  step.ProcessBatch({}, dim, &out);
+  Join(&step, {}, dim, &out);
   EXPECT_EQ(step.ProbeCount({Value::Int64(0)}), 3u);
   EXPECT_EQ(step.ProbeCount({Value::Int64(1)}), 2u);
+}
+
+// ------------------------------------------- JoinStep over borrowed views
+
+// The engine feeds JoinStep views that borrow catalog rows; before, it fed
+// owned copies of the same rows. Each batch below runs through two steps,
+// one reading the views and one reading copies, and the two must agree
+// row for row, in order, with the same cache bytes.
+
+RowBatch Own(const DeltaView& view) {
+  RowBatch rows;
+  for (const RowRef row : view) rows.push_back(row.ToOwned());
+  return rows;
+}
+
+void ExpectSameRows(const RowBatch& got, const RowBatch& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].values.size(), want[r].values.size()) << "row " << r;
+    for (size_t c = 0; c < want[r].values.size(); ++c) {
+      EXPECT_TRUE(got[r].values[c].Equals(want[r].values[c]))
+          << "row " << r << " col " << c;
+    }
+    EXPECT_EQ(got[r].weight, want[r].weight) << "row " << r;
+    EXPECT_EQ(got[r].stream_uid, want[r].stream_uid) << "row " << r;
+  }
+}
+
+struct TwinSteps {
+  JoinStep viewed;
+  JoinStep owned;
+
+  explicit TwinSteps(bool input_grows)
+      : viewed({0}, {0}, input_grows, true),
+        owned({0}, {0}, input_grows, true) {}
+
+  /// One batch through both steps; returns the joined rows.
+  RowBatch Run(const DeltaView& prefix, const DeltaView& input) {
+    RowBatch from_views;
+    RowBatch from_copies;
+    const size_t copied = viewed.ProcessBatch(prefix, input, &from_views);
+    const RowBatch prefix_rows = Own(prefix);
+    const RowBatch input_rows = Own(input);
+    EXPECT_EQ(copied, owned.ProcessBatch(DeltaView(prefix_rows),
+                                         DeltaView(input_rows), &from_copies));
+    ExpectSameRows(from_views, from_copies);
+    EXPECT_EQ(viewed.StateBytes(), owned.StateBytes());
+    return from_views;
+  }
+};
+
+// A streamed fact table: row i is (i % 3, 100 + i).
+Table FactTable() {
+  Table fact;
+  for (int64_t i = 0; i < 12; ++i) {
+    fact.AddRow({Value::Int64(i % 3), Value::Int64(100 + i)});
+  }
+  return fact;
+}
+
+TEST(JoinStepViewTest, IncrementalEqualsFullJoinOverViews) {
+  const Table fact = FactTable();
+  const std::vector<std::vector<uint64_t>> batches = {
+      {7, 2, 9}, {0, 5}, {}, {11, 1, 4, 3}};
+  const std::vector<RowBatch> dims = {
+      {MakeRow({0, 10}), MakeRow({1, 11})}, {MakeRow({2, 12})},
+      {MakeRow({0, 20})}, {}};
+  TwinSteps steps(/*input_grows=*/true);
+  size_t joined = 0;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const RowBatch out = steps.Run(DeltaView::Stream(fact, batches[b]),
+                                   DeltaView(dims[b]));
+    for (const ExecRow& row : out) {
+      // Every joined row keeps its fact row's id as its stream uid.
+      EXPECT_TRUE(fact.row(row.stream_uid)[1].Equals(row.values[1]));
+    }
+    joined += out.size();
+  }
+  // The full join: 9 fact rows streamed, three per key; key 0 has two
+  // dimension rows, keys 1 and 2 one each.
+  EXPECT_EQ(joined, 3u * 2 + 3u * 1 + 3u * 1);
+}
+
+TEST(JoinStepViewTest, WatermarkRollbackOverViews) {
+  const Table fact = FactTable();
+  const std::vector<uint64_t> first = {1, 4};
+  const std::vector<uint64_t> second = {7, 10, 3};
+  const RowBatch dim_first = {MakeRow({1, 10})};
+  const RowBatch dim_second = {MakeRow({1, 20}), MakeRow({0, 30})};
+  TwinSteps steps(/*input_grows=*/true);
+  steps.Run(DeltaView::Stream(fact, first), DeltaView(dim_first));
+  const auto mark = steps.viewed.watermark();
+  const RowBatch before = steps.Run(DeltaView::Stream(fact, second),
+                                    DeltaView(dim_second));
+  steps.viewed.TruncateTo(mark);
+  steps.owned.TruncateTo(mark);
+  EXPECT_EQ(steps.viewed.StateBytes(), steps.owned.StateBytes());
+  // Replaying the rolled-back batch reproduces its rows exactly.
+  const RowBatch replay = steps.Run(DeltaView::Stream(fact, second),
+                                    DeltaView(dim_second));
+  ExpectSameRows(replay, before);
+}
+
+TEST(JoinStepViewTest, StaticInputOverViews) {
+  const Table fact = FactTable();
+  Table dim;
+  dim.AddRow({Value::Int64(0), Value::String("zero")});
+  dim.AddRow({Value::Int64(2), Value::String("two")});
+  TwinSteps steps(/*input_grows=*/false);
+  // Batch 0 delivers the whole static table, read in place.
+  const std::vector<uint64_t> first = {0, 1, 2, 3};
+  steps.Run(DeltaView::Stream(fact, first), DeltaView::AllRows(dim));
+  const size_t dim_bytes = steps.viewed.StateBytes();
+  const std::vector<uint64_t> second = {5, 6, 8};
+  const RowBatch out = steps.Run(DeltaView::Stream(fact, second), DeltaView());
+  EXPECT_EQ(out.size(), 3u);  // fact rows 5 (key 2), 6 (key 0), 8 (key 2)
+  for (const ExecRow& row : out) EXPECT_FALSE(row.values[3].is_null());
+  // Only the static side is cached; the streamed rows were not copied in.
+  EXPECT_EQ(steps.viewed.StateBytes(), dim_bytes);
 }
 
 // ----------------------------------------------- GroupedAggregateState

@@ -22,6 +22,7 @@ QueryMetrics MakeMetrics() {
     bm.join_state_bytes = 1000 + 100 * b;
     bm.other_state_bytes = 500 - 50 * b;
     bm.shipped_bytes = 1500000 + 500000 * b;
+    bm.rows_materialized = 7 * b;
     bm.failure_recoveries = b == 2 ? 3 : 0;
     metrics.batches.push_back(bm);
   }
@@ -33,6 +34,7 @@ TEST(MetricsTest, Totals) {
   EXPECT_NEAR(metrics.TotalLatencySec(), 1.0, 1e-9);
   EXPECT_EQ(metrics.TotalRecomputedRows(), 60u);
   EXPECT_EQ(metrics.TotalShippedBytes(), 9000000u);
+  EXPECT_EQ(metrics.TotalRowsMaterialized(), 42u);
   EXPECT_EQ(metrics.MaxShippedBytesPerBatch(), 3000000u);
   EXPECT_NEAR(metrics.AvgShippedBytesPerBatch(), 2250000.0, 1e-9);
   EXPECT_EQ(metrics.TotalFailureRecoveries(), 3);
@@ -76,6 +78,7 @@ TEST(MetricsTest, SummaryReportsMeasuredAndModeledBytes) {
   // The cost model's byte count is the one shipped figure.
   EXPECT_NE(summary.find("shipped=9.0MB"), std::string::npos) << summary;
   EXPECT_EQ(summary.find("modeled="), std::string::npos) << summary;
+  EXPECT_NE(summary.find("materialized=42"), std::string::npos) << summary;
   // Recovery detail appears because batch 2 recovered.
   EXPECT_NE(summary.find("max_rollback_depth="), std::string::npos);
 }
@@ -84,6 +87,7 @@ TEST(MetricsTest, EmptyMetrics) {
   QueryMetrics metrics;
   EXPECT_DOUBLE_EQ(metrics.TotalLatencySec(), 0.0);
   EXPECT_EQ(metrics.TotalRecomputedRows(), 0u);
+  EXPECT_EQ(metrics.TotalRowsMaterialized(), 0u);
   EXPECT_DOUBLE_EQ(metrics.AvgShippedBytesPerBatch(), 0.0);
   EXPECT_FALSE(metrics.Summary().empty());
 }
