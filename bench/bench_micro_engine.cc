@@ -53,9 +53,9 @@ class TrialResolver final : public AggLookupResolver {
     return Value::Double(937.5 + 0.25 * trial);
   }
   void LookupTrials(int, int, const Row&, int num_trials,
-                    Value* out) const override {
+                    NumericValue* out) const override {
     for (int t = 0; t < num_trials; ++t) {
-      out[t] = Value::Double(937.5 + 0.25 * t);
+      out[t] = NumericValue::Dbl(937.5 + 0.25 * t);
     }
   }
   Interval LookupRange(int, int, const Row&) const override {
@@ -111,14 +111,18 @@ void BM_ExprProgramCompiled(benchmark::State& state) {
   }
   ExprProgramState prog_state;
   program->InitState(&prog_state);
-  std::vector<double> weights(trials);
-  std::vector<Value> values(static_cast<size_t>(trials) * 2);
+  std::vector<uint8_t> mask(trials);
+  std::vector<NumericValue> values(static_cast<size_t>(trials) * 2);
   for (auto _ : state) {
+    // What the engine does per pending row: bind, one lane pass over the
+    // trials, then read the two argument roots' lanes.
     program->Bind(&prog_state, kHotLoopRow, &resolver, trials);
-    for (int t = 0; t < trials; ++t) weights[t] = 1.0;
+    std::fill(mask.begin(), mask.end(), 1);
     benchmark::DoNotOptimize(program->EvalTrials(
-        &prog_state, kHotLoopRow, trials, /*pred_root=*/0,
-        /*first_val_root=*/1, 2, weights.data(), values.data()));
+        &prog_state, kHotLoopRow, trials, /*pred_root=*/0, mask.data()));
+    program->RootLanes(prog_state, 1, trials, values.data());
+    program->RootLanes(prog_state, 2, trials, values.data() + trials);
+    benchmark::DoNotOptimize(values.data());
   }
   state.SetItemsProcessed(state.iterations() * trials);
 }

@@ -28,6 +28,11 @@ void TrialAccumulatorSet::AddTrials(const Value& v, double weight,
                  1 + t1);
 }
 
+void TrialAccumulatorSet::AddTrialLanes(const NumericValue* v, double weight,
+                                        const uint8_t* tw, int t0, int t1) {
+  acc_->AddLanes(v + t0, weight, tw + t0, 1 + t0, 1 + t1);
+}
+
 void TrialAccumulatorSet::AddTrialOnly(int trial, const Value& v,
                                        double weight) {
   if (weight != 0.0) acc_->Add(1 + trial, v, weight);

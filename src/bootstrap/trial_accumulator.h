@@ -33,10 +33,17 @@ class TrialAccumulatorSet {
   void AddTrials(const Value& v, double weight, const uint8_t* tw, int t0,
                  int t1);
 
-  /// Folds into one trial replica only (skipped when `weight` is 0). Used
-  /// for non-deterministic rows whose filter decision and argument values
-  /// differ per bootstrap trial (§5): the delta engine evaluates them per
-  /// trial and routes each surviving (value, weight) individually.
+  /// Folds per-trial values into trials [t0, t1): trial t gets `v[t]`
+  /// with multiplicity weight * tw[t]; zero multiplicities are skipped.
+  /// Used for non-deterministic rows whose filter decision and argument
+  /// values differ per bootstrap trial (§5): the delta engine evaluates them
+  /// lane by lane and masks the trials a row does not survive to 0.
+  /// Bit-identical to AddTrialOnly per trial.
+  void AddTrialLanes(const NumericValue* v, double weight, const uint8_t* tw,
+                     int t0, int t1);
+
+  /// Folds into one trial replica only (skipped when `weight` is 0): the
+  /// per-trial form of AddTrialLanes, for values that are not numeric.
   void AddTrialOnly(int trial, const Value& v, double weight);
 
   void Merge(const TrialAccumulatorSet& other);

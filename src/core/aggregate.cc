@@ -17,9 +17,8 @@ class SumCountAccumulator final
   SumCountAccumulator(AggKind kind, int replicas)
       : WeightedSumsAccumulator(replicas), kind_(kind) {}
 
-  static bool Prepare(const Value& v, double* x) {
-    if (v.is_null()) return false;
-    *x = v.AsDouble();
+  static bool Prepare(double v, double* x) {
+    *x = v;
     return true;
   }
 
@@ -109,9 +108,8 @@ class MomentsAccumulator final
   MomentsAccumulator(bool stddev, int replicas)
       : WeightedSumsAccumulator(replicas), stddev_(stddev) {}
 
-  static bool Prepare(const Value& v, double* x) {
-    if (v.is_null()) return false;
-    *x = v.AsDouble();
+  static bool Prepare(double v, double* x) {
+    *x = v;
     return true;
   }
 

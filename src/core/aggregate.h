@@ -51,6 +51,20 @@ class AggAccumulator {
   virtual void AddRange(const Value& v, double weight, const uint8_t* tw,
                         int r0, int r1) = 0;
 
+  /// Folds per-replica numeric values into replicas [r0, r1): replica
+  /// r0 + i gets `v[i]` with multiplicity weight * tw[i]. Zero
+  /// multiplicities are skipped. Bit-identical to Add(r0 + i,
+  /// v[i].ToValue(), weight * tw[i]) for each nonzero multiplicity in
+  /// turn, which is what this default does; the weighted-sum kinds fold
+  /// the unboxed doubles directly.
+  virtual void AddLanes(const NumericValue* v, double weight,
+                        const uint8_t* tw, int r0, int r1) {
+    for (int r = r0; r < r1; ++r) {
+      const double w = weight * tw[r - r0];
+      if (w != 0.0) Add(r, v[r - r0].ToValue(), w);
+    }
+  }
+
   /// Folds another accumulator of the same dynamic type and replica count,
   /// replica by replica (partial-aggregate merge).
   virtual void Merge(const AggAccumulator& other) = 0;
@@ -72,8 +86,10 @@ class AggAccumulator {
 
 /// Shared body of the kinds whose per-replica state is `kFields` weighted
 /// sums (COUNT/SUM/AVG, VAR/STDDEV and the smooth UDAFs). Field k of
-/// replica r lives at sums_[k * R + r]. `Derived` supplies
-///   static bool Prepare(const Value& v, double* x);
+/// replica r lives at sums_[k * R + r]. NULL inputs are skipped here;
+/// every other input reaches the kind as its AsDouble(). `Derived`
+/// supplies
+///   static bool Prepare(double v, double* x);
 /// which rejects inputs the aggregate skips and hoists the per-input term
 /// (x, log x, ...) out of the replica loop, and
 ///   void Step(int r, double x, double weight);
@@ -83,13 +99,15 @@ class WeightedSumsAccumulator : public AggAccumulator {
  public:
   void Add(int r, const Value& v, double weight) final {
     double x;
-    if (Derived::Prepare(v, &x)) self().Step(r, x, weight);
+    if (!v.is_null() && Derived::Prepare(v.AsDouble(), &x)) {
+      self().Step(r, x, weight);
+    }
   }
 
   void AddRange(const Value& v, double weight, const uint8_t* tw, int r0,
                 int r1) final {
     double x;
-    if (!Derived::Prepare(v, &x)) return;
+    if (v.is_null() || !Derived::Prepare(v.AsDouble(), &x)) return;
     Derived& d = self();
     if (tw == nullptr) {
       if (weight == 0.0) return;
@@ -103,6 +121,19 @@ class WeightedSumsAccumulator : public AggAccumulator {
       for (int r = r0; r < r1; ++r) {
         const double w = weight * tw[r - r0];
         if (w != 0.0) d.Step(r, x, w);
+      }
+    }
+  }
+
+  void AddLanes(const NumericValue* v, double weight, const uint8_t* tw,
+                int r0, int r1) final {
+    Derived& d = self();
+    for (int r = r0; r < r1; ++r) {
+      const NumericValue& in = v[r - r0];
+      const double w = weight * tw[r - r0];
+      double x;
+      if (w != 0.0 && !in.is_null() && Derived::Prepare(in.f64, &x)) {
+        d.Step(r, x, w);
       }
     }
   }

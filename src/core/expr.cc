@@ -8,9 +8,10 @@
 namespace iolap {
 
 void AggLookupResolver::LookupTrials(int block_id, int col, const Row& key,
-                                     int num_trials, Value* out) const {
+                                     int num_trials,
+                                     NumericValue* out) const {
   for (int t = 0; t < num_trials; ++t) {
-    out[t] = LookupTrial(block_id, col, key, t);
+    out[t] = NumericValue::Of(LookupTrial(block_id, col, key, t));
   }
 }
 

@@ -36,14 +36,15 @@ class AggLookupResolver {
   virtual Value LookupTrial(int block_id, int col, const Row& key,
                             int trial) const = 0;
 
-  /// Batched form: fills `out[t] = LookupTrial(block_id, col, key, t)` for
-  /// every t in [0, num_trials). The default implementation loops;
-  /// implementations backed by a per-group replica store override it to
-  /// resolve the group once and copy its trial vector, which is what lets
-  /// the compiled expression path (exec/expr_program) hoist the group probe
-  /// out of the per-trial hot loop.
+  /// Batched, typed form: fills `out[t] = NumericValue::Of(LookupTrial(
+  /// block_id, col, key, t))` for every t in [0, num_trials) — a string
+  /// value becomes the kString clash marker. The default implementation
+  /// loops; implementations backed by a per-group replica store override it
+  /// to resolve the group once and unbox its trial vector, which is what
+  /// lets the compiled expression path (exec/expr_program) hoist the group
+  /// probe out of the per-trial hot loop.
   virtual void LookupTrials(int block_id, int col, const Row& key,
-                            int num_trials, Value* out) const;
+                            int num_trials, NumericValue* out) const;
 
   /// The current variation range R(u) of the aggregate (§5.1). Unbounded
   /// if the group has no entry yet.

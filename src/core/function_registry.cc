@@ -51,9 +51,7 @@ class GeomeanAccumulator final
  public:
   explicit GeomeanAccumulator(int replicas)
       : WeightedSumsAccumulator(replicas) {}
-  static bool Prepare(const Value& v, double* log_x) {
-    if (v.is_null()) return false;
-    const double x = v.AsDouble();
+  static bool Prepare(double x, double* log_x) {
     if (x <= 0.0) return false;
     *log_x = std::log(x);
     return true;
@@ -76,10 +74,9 @@ class HarmonicAccumulator final
  public:
   explicit HarmonicAccumulator(int replicas)
       : WeightedSumsAccumulator(replicas) {}
-  static bool Prepare(const Value& v, double* x) {
-    if (v.is_null()) return false;
-    *x = v.AsDouble();
-    return !(*x <= 0.0);  // NaN inputs are folded, not skipped
+  static bool Prepare(double v, double* x) {
+    *x = v;
+    return !(v <= 0.0);  // NaN inputs are folded, not skipped
   }
   void Step(int r, double x, double weight) {
     field(0)[r] += weight;
@@ -96,9 +93,8 @@ class RmsAccumulator final
     : public WeightedSumsAccumulator<RmsAccumulator, 2> {
  public:
   explicit RmsAccumulator(int replicas) : WeightedSumsAccumulator(replicas) {}
-  static bool Prepare(const Value& v, double* x) {
-    if (v.is_null()) return false;
-    *x = v.AsDouble();
+  static bool Prepare(double v, double* x) {
+    *x = v;
     return true;
   }
   void Step(int r, double x, double weight) {

@@ -14,31 +14,6 @@ namespace iolap {
 
 class AggFunction;
 
-/// An unboxed numeric value (NULL / int64 / double) used by the typed
-/// kernels of the compiled expression path (exec/expr_program). Invariant:
-/// when tag == kInt64, `f64 == double(i64)` — kernels and the compiler keep
-/// the double mirror in sync so AsDouble() is a plain load.
-struct NumericValue {
-  double f64 = 0.0;
-  int64_t i64 = 0;
-  ValueType tag = ValueType::kNull;  // kNull, kInt64 or kDouble only
-
-  static NumericValue Null() { return {}; }
-  static NumericValue Int(int64_t v) {
-    return {static_cast<double>(v), v, ValueType::kInt64};
-  }
-  static NumericValue Dbl(double v) { return {v, 0, ValueType::kDouble}; }
-
-  bool is_null() const { return tag == ValueType::kNull; }
-  /// Mirrors Value::AsDouble(): NULL coerces to 0.0.
-  double AsDouble() const { return tag == ValueType::kNull ? 0.0 : f64; }
-  /// Mirrors Value::IsTruthy(): non-zero numeric.
-  bool IsTruthy() const {
-    return tag == ValueType::kInt64 ? i64 != 0
-                                    : tag == ValueType::kDouble && f64 != 0.0;
-  }
-};
-
 /// A scalar function (built-in or user-defined). UDFs are black boxes to
 /// the uncertainty analysis: an expression calling a scalar function over an
 /// uncertain operand gets the conservative Unbounded() variation range

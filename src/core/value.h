@@ -85,6 +85,59 @@ class Value {
   Storage storage_;
 };
 
+/// An unboxed numeric value (NULL / int64 / double): the register type of
+/// the compiled expression path (exec/expr_program), its typed function
+/// kernels and its typed aggregate probes. Invariant: when tag == kInt64,
+/// `f64 == double(i64)` — kernels and the compiler keep the double mirror
+/// in sync so AsDouble() is a plain load. A typed *lookup* of a value that
+/// is not numeric yields tag == kString with no payload (Of below); every
+/// reader treats that tag as a runtime type clash.
+struct NumericValue {
+  double f64 = 0.0;
+  int64_t i64 = 0;
+  ValueType tag = ValueType::kNull;
+
+  static NumericValue Null() { return {}; }
+  static NumericValue Int(int64_t v) {
+    return {static_cast<double>(v), v, ValueType::kInt64};
+  }
+  static NumericValue Dbl(double v) { return {v, 0, ValueType::kDouble}; }
+  /// Unboxes `v`; a string becomes the kString clash marker.
+  static NumericValue Of(const Value& v) {
+    switch (v.type()) {
+      case ValueType::kInt64:
+        return Int(v.int64());
+      case ValueType::kDouble:
+        return Dbl(v.dbl());
+      case ValueType::kString:
+        return {0.0, 0, ValueType::kString};
+      default:
+        return Null();
+    }
+  }
+
+  bool is_null() const { return tag == ValueType::kNull; }
+  /// Mirrors Value::AsDouble(): NULL coerces to 0.0.
+  double AsDouble() const { return tag == ValueType::kNull ? 0.0 : f64; }
+  /// Mirrors Value::IsTruthy(): non-zero numeric.
+  bool IsTruthy() const {
+    return tag == ValueType::kInt64 ? i64 != 0
+                                    : tag == ValueType::kDouble && f64 != 0.0;
+  }
+  /// Boxes back into a Value (the inverse of Of on numerics; the clash
+  /// marker boxes as NULL).
+  Value ToValue() const {
+    switch (tag) {
+      case ValueType::kInt64:
+        return Value::Int64(i64);
+      case ValueType::kDouble:
+        return Value::Double(f64);
+      default:
+        return Value::Null();
+    }
+  }
+};
+
 /// A tuple of values. Rows are schema-less at runtime; the plan carries the
 /// schema.
 using Row = std::vector<Value>;

@@ -1,6 +1,7 @@
 #ifndef IOLAP_EXEC_BATCH_H_
 #define IOLAP_EXEC_BATCH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -82,6 +83,22 @@ class DeltaView {
     return view;
   }
 
+  /// A catalog view (Stream / AllRows) with Σ RowRef::ByteSize over its
+  /// rows attached, computed once by whoever builds the view (the
+  /// controller caches it per streamed batch and static table), so
+  /// consumers need not walk the rows for it.
+  DeltaView WithRowBytes(size_t bytes) const {
+    assert(owned_ == nullptr);
+    DeltaView view = *this;
+    view.row_bytes_ = bytes;
+    return view;
+  }
+  bool has_row_bytes() const { return row_bytes_ != kUnknownBytes; }
+  size_t row_bytes() const { return row_bytes_; }
+  /// Rows carrying a stream uid, of a view with row bytes attached: every
+  /// row of a Stream view, none of an AllRows view.
+  size_t streamed_rows() const { return ids_ != nullptr ? ids_->size() : 0; }
+
   size_t size() const {
     if (owned_ != nullptr) return owned_->size();
     if (ids_ != nullptr) return ids_->size();
@@ -115,9 +132,12 @@ class DeltaView {
   Iterator end() const { return Iterator(this, size()); }
 
  private:
+  static constexpr size_t kUnknownBytes = std::numeric_limits<size_t>::max();
+
   const RowBatch* owned_ = nullptr;
   const std::vector<Row>* table_rows_ = nullptr;
   const std::vector<uint64_t>* ids_ = nullptr;
+  size_t row_bytes_ = kUnknownBytes;
 };
 
 /// Concatenates two rows (join output); at most one side may carry a

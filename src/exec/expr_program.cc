@@ -36,38 +36,15 @@ bool IsLogicalOp(Expr::BinaryOp op) {
   return op == Expr::BinaryOp::kAnd || op == Expr::BinaryOp::kOr;
 }
 
-// Mirrors Value::IsTruthy over an unboxed register.
-inline bool Truthy(const NumReg& r) {
-  return r.tag == ValueType::kInt64
-             ? r.i != 0
-             : r.tag == ValueType::kDouble && r.f != 0.0;
-}
-
-inline NumReg NumRegOfInt(int64_t v) {
-  return {static_cast<double>(v), v, ValueType::kInt64};
-}
-
-inline NumReg NumRegOfBool(bool v) { return NumRegOfInt(v ? 1 : 0); }
+inline NumReg NumRegOfBool(bool v) { return NumReg::Int(v ? 1 : 0); }
 
 // Loads a Value into a numeric register. Returns false (register set to
 // NULL) when the value is a string, i.e. outside the numeric universe.
 inline bool NumRegFromValue(NumReg* d, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      *d = NumReg{};
-      return true;
-    case ValueType::kInt64:
-      *d = NumRegOfInt(v.int64());
-      return true;
-    case ValueType::kDouble:
-      d->f = v.dbl();
-      d->i = 0;
-      d->tag = ValueType::kDouble;
-      return true;
-    default:
-      *d = NumReg{};
-      return false;
-  }
+  *d = NumReg::Of(v);
+  if (d->tag != ValueType::kString) return true;
+  *d = NumReg{};
+  return false;
 }
 
 // Comparison outcome -> 0/1 register, mirroring EvalComparison's mapping of
@@ -232,8 +209,8 @@ class ExprProgramCompiler {
     NumRegFromValue(&r, v);
     const auto key = std::make_pair(static_cast<int>(r.tag),
                                     r.tag == ValueType::kDouble
-                                        ? BitsOf(r.f)
-                                        : static_cast<uint64_t>(r.i));
+                                        ? BitsOf(r.f64)
+                                        : static_cast<uint64_t>(r.i64));
     auto it = num_literals_.find(key);
     if (it != num_literals_.end()) {
       return Slot{Operand{it->second, false}, true};
@@ -449,10 +426,10 @@ class ExprProgramCompiler {
       keys.push_back(slot->out);
     }
     const uint16_t site = static_cast<uint16_t>(prog_->agg_sites_.size());
-    prog_->agg_sites_.push_back(
-        {lookup.block_id(), lookup.agg_col(), std::move(keys)});
-    Emit(/*invariant=*/true, {Op::kProbeAgg, 0, 0, 0, 0, site});
     const bool dst_str = StaticallyString(lookup);
+    prog_->agg_sites_.push_back(
+        {lookup.block_id(), lookup.agg_col(), std::move(keys), dst_str});
+    Emit(/*invariant=*/true, {Op::kProbeAgg, 0, 0, 0, 0, site});
     const int dst = dst_str ? NewStr() : NewNum();
     if (failed_) return std::nullopt;
     Emit(/*invariant=*/false,
@@ -515,6 +492,25 @@ void ExprProgram::InitState(ExprProgramState* st) const {
   for (const auto& [reg, pool_idx] : const_str_) {
     st->str_[reg] = {const_str_pool_[pool_idx], false};
   }
+  // Lane rows: one per register the epilogue defines (the programs are
+  // single-assignment, so these are exactly the trial-variant registers).
+  st->num_lane_.assign(num_regs_, -1);
+  st->str_lane_.assign(str_regs_, -1);
+  st->num_lane_rows_ = 0;
+  st->str_lane_rows_ = 0;
+  for (const Insn& insn : epilogue_) {
+    if (insn.op == Op::kProbeAgg) continue;  // defines no register
+    const bool str_dst = insn.op == Op::kLoadStr ||
+                         insn.op == Op::kReadAggStr ||
+                         (insn.op == Op::kCallGeneric && insn.sub != 0);
+    std::vector<int32_t>& lane = str_dst ? st->str_lane_ : st->num_lane_;
+    int32_t& rows = str_dst ? st->str_lane_rows_ : st->num_lane_rows_;
+    if (insn.dst < lane.size() && lane[insn.dst] < 0) lane[insn.dst] = rows++;
+  }
+  st->lane_num_.clear();
+  st->lane_str_.clear();
+  st->lane_owned_.clear();
+  st->lanes_.clear();
   st->bail_ = false;
   st->bound_trials_ = 0;
 }
@@ -523,227 +519,211 @@ namespace {
 
 // Boxes a register back into a Value (root results, call arguments, agg
 // keys). The inverse of the load path, so round-trips are bit-identical.
-inline Value BoxNum(const NumReg& r) {
-  switch (r.tag) {
-    case ValueType::kInt64:
-      return Value::Int64(r.i);
-    case ValueType::kDouble:
-      return Value::Double(r.f);
-    default:
-      return Value::Null();
-  }
-}
+inline Value BoxNum(const NumReg& r) { return r.ToValue(); }
 
 inline Value BoxStr(const StrReg& r) {
   if (r.null) return Value::Null();
   return Value::String(std::string(r.s));
 }
 
+// ------------------------------------------------------------ op kernels
+// One kernel per opcode. RunSegment (the prologue and the main pass) calls
+// each once per row; RunLanes calls the same kernel once per surviving
+// trial, in a tight loop per instruction. Kernels that can meet a runtime
+// type they do not cover return false (the caller sets the bail flag).
+
+inline bool LoadStr(const Value& v, StrReg* d) {
+  if (v.type() == ValueType::kString) {
+    d->s = v.str();
+    d->null = false;
+    return true;
+  }
+  *d = StrReg{};
+  return v.is_null();
+}
+
+// Trial mode (and a derived main pass) reads the compiled lineage; the
+// plain main pass reads the stored column, like ColumnRefExpr::Eval.
+inline bool ColLineage(bool derive, const Value& stored, const NumReg& derived,
+                       NumReg* d) {
+  if (derive) {
+    *d = derived;
+    return true;
+  }
+  return NumRegFromValue(d, stored);
+}
+
+inline NumReg Neg(NumReg s) {
+  if (s.tag == ValueType::kNull) return NumReg{};
+  if (s.tag == ValueType::kInt64) return NumReg::Int(-s.i64);
+  return NumReg::Dbl(-s.f64);
+}
+
+inline NumReg Not(NumReg s) {
+  return s.tag == ValueType::kNull ? NumReg{} : NumRegOfBool(!s.IsTruthy());
+}
+
+inline NumReg Arith(uint8_t sub, bool int_out, NumReg l, NumReg r) {
+  if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) return NumReg{};
+  // Like EvalArith: all arithmetic runs in double (AsDouble == .f64), with
+  // the statically-int result truncated back.
+  double result = 0.0;
+  switch (static_cast<Expr::BinaryOp>(sub)) {
+    case Expr::BinaryOp::kAdd:
+      result = l.f64 + r.f64;
+      break;
+    case Expr::BinaryOp::kSub:
+      result = l.f64 - r.f64;
+      break;
+    case Expr::BinaryOp::kMul:
+      result = l.f64 * r.f64;
+      break;
+    case Expr::BinaryOp::kDiv:
+      if (r.f64 == 0.0) return NumReg{};
+      result = l.f64 / r.f64;
+      break;
+    default:
+      return NumReg{};
+  }
+  return int_out ? NumReg::Int(static_cast<int64_t>(result))
+                 : NumReg::Dbl(result);
+}
+
+inline NumReg Mod(NumReg l, NumReg r) {
+  if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) return NumReg{};
+  const int64_t denom = static_cast<int64_t>(r.f64);
+  if (denom == 0) return NumReg{};
+  return NumReg::Int(static_cast<int64_t>(l.f64) % denom);
+}
+
+inline NumReg CmpNum(uint8_t sub, NumReg l, NumReg r) {
+  if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) return NumReg{};
+  const int cmp = l.f64 < r.f64 ? -1 : l.f64 > r.f64 ? 1 : 0;
+  return CmpResult(static_cast<Expr::BinaryOp>(sub), cmp);
+}
+
+inline NumReg CmpStr(uint8_t sub, const StrReg& l, const StrReg& r) {
+  if (l.null || r.null) return NumReg{};
+  return CmpResult(static_cast<Expr::BinaryOp>(sub), l.s.compare(r.s));
+}
+
+inline NumReg Logic(uint8_t sub, NumReg l, NumReg r) {
+  const bool ln = l.tag == ValueType::kNull;
+  const bool rn = r.tag == ValueType::kNull;
+  const bool lt = l.IsTruthy();
+  const bool rt = r.IsTruthy();
+  if (static_cast<Expr::BinaryOp>(sub) == Expr::BinaryOp::kAnd) {
+    if ((!ln && !lt) || (!rn && !rt)) return NumRegOfBool(false);
+    return ln || rn ? NumReg{} : NumRegOfBool(true);
+  }
+  if ((!ln && lt) || (!rn && rt)) return NumRegOfBool(true);
+  return ln || rn ? NumReg{} : NumRegOfBool(false);
+}
+
+// `arg(i)` yields argument i's register.
+template <typename Site, typename ArgAt>
+inline NumReg CallNum(const Site& site, NumericValue* scratch, ArgAt arg) {
+  const size_t n = site.args.size();
+  for (size_t i = 0; i < n; ++i) scratch[i] = arg(i);
+  return site.fn->numeric_kernel(scratch, n);
+}
+
+// `box(i)` yields argument i as a Value. The result lands in `*dstr`
+// (viewing `*owned`) for a string static kind, else in `*dnum`.
+template <typename Site, typename BoxAt>
+inline bool CallGeneric(const Site& site, std::vector<Value>* args, BoxAt box,
+                        Value* owned, NumReg* dnum, StrReg* dstr) {
+  args->clear();
+  for (size_t i = 0; i < site.args.size(); ++i) args->push_back(box(i));
+  Value res = site.fn->eval(*args);
+  if (dstr == nullptr) return NumRegFromValue(dnum, res);
+  if (res.type() == ValueType::kString) {
+    *owned = std::move(res);
+    dstr->s = owned->str();
+    dstr->null = false;
+    return true;
+  }
+  *dstr = StrReg{};
+  return res.is_null();
+}
+
+inline bool ReadAggNum(const NumericValue& v, NumReg* d) {
+  if (v.tag == ValueType::kString) {
+    *d = NumReg{};
+    return false;
+  }
+  *d = v;
+  return true;
+}
+
+// A lane-loop operand: an invariant register (stride 0) or one lane row.
+template <typename R>
+struct LaneRef {
+  R* base;
+  size_t stride;
+  R& operator[](size_t t) const { return base[t * stride]; }
+};
+
 }  // namespace
 
 bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
                              ExprProgramState* st, const Row& row,
                              const AggLookupResolver* resolver, int num_trials,
-                             int trial) const {
+                             bool derive_lineage) const {
   auto& num = st->num_;
   auto& str = st->str_;
   for (const Insn& insn : seg) {
+    bool ok = true;
     switch (insn.op) {
-      case Op::kLoadNum: {
-        if (!NumRegFromValue(&num[insn.dst], row[insn.aux])) st->bail_ = true;
+      case Op::kLoadNum:
+        ok = NumRegFromValue(&num[insn.dst], row[insn.aux]);
         break;
-      }
-      case Op::kLoadStr: {
-        const Value& v = row[insn.aux];
-        StrReg& d = str[insn.dst];
-        if (v.is_null()) {
-          d = StrReg{};
-        } else if (v.type() == ValueType::kString) {
-          d.s = v.str();
-          d.null = false;
-        } else {
-          d = StrReg{};
-          st->bail_ = true;
-        }
+      case Op::kLoadStr:
+        ok = LoadStr(row[insn.aux], &str[insn.dst]);
         break;
-      }
-      case Op::kColLineage: {
-        if (trial < 0) {
-          if (!NumRegFromValue(&num[insn.dst], row[insn.aux])) {
-            st->bail_ = true;
-          }
-        } else {
-          num[insn.dst] = num[insn.a];
-        }
+      case Op::kColLineage:
+        ok = ColLineage(derive_lineage, row[insn.aux], num[insn.a],
+                        &num[insn.dst]);
         break;
-      }
-      case Op::kNeg: {
-        const NumReg s = num[insn.a];
-        NumReg& d = num[insn.dst];
-        if (s.tag == ValueType::kNull) {
-          d = NumReg{};
-        } else if (s.tag == ValueType::kInt64) {
-          d = NumRegOfInt(-s.i);
-        } else {
-          d.f = -s.f;
-          d.i = 0;
-          d.tag = ValueType::kDouble;
-        }
+      case Op::kNeg:
+        num[insn.dst] = Neg(num[insn.a]);
         break;
-      }
-      case Op::kNot: {
-        const NumReg s = num[insn.a];
-        num[insn.dst] =
-            s.tag == ValueType::kNull ? NumReg{} : NumRegOfBool(!Truthy(s));
+      case Op::kNot:
+        num[insn.dst] = Not(num[insn.a]);
         break;
-      }
-      case Op::kArith: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
-          break;
-        }
-        // Like EvalArith: all arithmetic runs in double (AsDouble == .f),
-        // with the statically-int result truncated back.
-        double result = 0.0;
-        switch (static_cast<Expr::BinaryOp>(insn.sub)) {
-          case Expr::BinaryOp::kAdd:
-            result = l.f + r.f;
-            break;
-          case Expr::BinaryOp::kSub:
-            result = l.f - r.f;
-            break;
-          case Expr::BinaryOp::kMul:
-            result = l.f * r.f;
-            break;
-          case Expr::BinaryOp::kDiv:
-            if (r.f == 0.0) {
-              d = NumReg{};
-              continue;
-            }
-            result = l.f / r.f;
-            break;
-          default:
-            d = NumReg{};
-            continue;
-        }
-        if (insn.aux != 0) {
-          d = NumRegOfInt(static_cast<int64_t>(result));
-        } else {
-          d.f = result;
-          d.i = 0;
-          d.tag = ValueType::kDouble;
-        }
+      case Op::kArith:
+        num[insn.dst] = Arith(insn.sub, insn.aux != 0, num[insn.a], num[insn.b]);
         break;
-      }
-      case Op::kMod: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
-          break;
-        }
-        const int64_t denom = static_cast<int64_t>(r.f);
-        if (denom == 0) {
-          d = NumReg{};
-          break;
-        }
-        d = NumRegOfInt(static_cast<int64_t>(l.f) % denom);
+      case Op::kMod:
+        num[insn.dst] = Mod(num[insn.a], num[insn.b]);
         break;
-      }
-      case Op::kCmpNum: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
-          break;
-        }
-        const int cmp = l.f < r.f ? -1 : l.f > r.f ? 1 : 0;
-        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), cmp);
+      case Op::kCmpNum:
+        num[insn.dst] = CmpNum(insn.sub, num[insn.a], num[insn.b]);
         break;
-      }
-      case Op::kCmpStr: {
-        const StrReg& l = str[insn.a];
-        const StrReg& r = str[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.null || r.null) {
-          d = NumReg{};
-          break;
-        }
-        const int cmp = l.s.compare(r.s);
-        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), cmp);
+      case Op::kCmpStr:
+        num[insn.dst] = CmpStr(insn.sub, str[insn.a], str[insn.b]);
         break;
-      }
-      case Op::kLogic: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        const bool ln = l.tag == ValueType::kNull;
-        const bool rn = r.tag == ValueType::kNull;
-        const bool lt = Truthy(l);
-        const bool rt = Truthy(r);
-        if (static_cast<Expr::BinaryOp>(insn.sub) == Expr::BinaryOp::kAnd) {
-          if (!ln && !lt) {
-            d = NumRegOfBool(false);
-          } else if (!rn && !rt) {
-            d = NumRegOfBool(false);
-          } else if (ln || rn) {
-            d = NumReg{};
-          } else {
-            d = NumRegOfBool(true);
-          }
-        } else {
-          if (!ln && lt) {
-            d = NumRegOfBool(true);
-          } else if (!rn && rt) {
-            d = NumRegOfBool(true);
-          } else if (ln || rn) {
-            d = NumReg{};
-          } else {
-            d = NumRegOfBool(false);
-          }
-        }
+      case Op::kLogic:
+        num[insn.dst] = Logic(insn.sub, num[insn.a], num[insn.b]);
         break;
-      }
       case Op::kCallNum: {
         const CallSite& site = call_sites_[insn.aux];
-        for (size_t i = 0; i < site.args.size(); ++i) {
-          const NumReg& r = num[site.args[i].reg];
-          st->num_args_[i] = NumericValue{r.f, r.i, r.tag};
-        }
-        const NumericValue res =
-            site.fn->numeric_kernel(st->num_args_.data(), site.args.size());
-        num[insn.dst] = NumReg{res.f64, res.i64, res.tag};
+        num[insn.dst] = CallNum(site, st->num_args_.data(), [&](size_t i) {
+          return num[site.args[i].reg];
+        });
         break;
       }
       case Op::kCallGeneric: {
         const CallSite& site = call_sites_[insn.aux];
-        st->val_args_.clear();
-        for (const Operand& arg : site.args) {
-          st->val_args_.push_back(arg.is_str ? BoxStr(str[arg.reg])
-                                             : BoxNum(num[arg.reg]));
-        }
-        Value res = site.fn->eval(st->val_args_);
-        if (insn.sub != 0) {
-          StrReg& d = str[insn.dst];
-          if (res.is_null()) {
-            d = StrReg{};
-          } else if (res.type() == ValueType::kString) {
-            Value& slot = st->owned_[site.owned_slot];
-            slot = std::move(res);
-            d.s = slot.str();
-            d.null = false;
-          } else {
-            d = StrReg{};
-            st->bail_ = true;
-          }
-        } else if (!NumRegFromValue(&num[insn.dst], res)) {
-          st->bail_ = true;
-        }
+        const bool to_str = insn.sub != 0;
+        ok = CallGeneric(
+            site, &st->val_args_,
+            [&](size_t i) {
+              const Operand& arg = site.args[i];
+              return arg.is_str ? BoxStr(str[arg.reg]) : BoxNum(num[arg.reg]);
+            },
+            &st->owned_[site.owned_slot], to_str ? nullptr : &num[insn.dst],
+            to_str ? &str[insn.dst] : nullptr);
         break;
       }
       case Op::kProbeAgg: {
@@ -755,38 +735,193 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
           key.push_back(k.is_str ? BoxStr(str[k.reg]) : BoxNum(num[k.reg]));
         }
         AggSlot& slot = st->aggs_[insn.aux];
-        slot.main = resolver->Lookup(site.block_id, site.col, key);
-        slot.trials.resize(static_cast<size_t>(num_trials));
-        if (num_trials > 0) {
-          resolver->LookupTrials(site.block_id, site.col, key, num_trials,
-                                 slot.trials.data());
+        const Value main = resolver->Lookup(site.block_id, site.col, key);
+        if (site.is_str) {
+          slot.main_str = main;
+          slot.trials_str.resize(static_cast<size_t>(num_trials));
+          for (int t = 0; t < num_trials; ++t) {
+            slot.trials_str[t] =
+                resolver->LookupTrial(site.block_id, site.col, key, t);
+          }
+        } else {
+          slot.main_num = NumericValue::Of(main);
+          slot.trials_num.resize(static_cast<size_t>(num_trials));
+          if (num_trials > 0) {
+            resolver->LookupTrials(site.block_id, site.col, key, num_trials,
+                                   slot.trials_num.data());
+          }
         }
         break;
       }
+      case Op::kReadAggNum:
+        ok = !agg_sites_[insn.aux].is_str &&
+             ReadAggNum(st->aggs_[insn.aux].main_num, &num[insn.dst]);
+        break;
+      case Op::kReadAggStr:
+        ok = agg_sites_[insn.aux].is_str &&
+             LoadStr(st->aggs_[insn.aux].main_str, &str[insn.dst]);
+        break;
+    }
+    if (!ok) st->bail_ = true;
+  }
+  return !st->bail_;
+}
+
+bool ExprProgram::RunLanes(ExprProgramState* st, const Row& row) const {
+  const size_t cap = static_cast<size_t>(st->bound_trials_);
+  const auto num_in = [&](uint16_t reg) {
+    const int32_t lane = st->num_lane_[reg];
+    return lane < 0 ? LaneRef<const NumReg>{&st->num_[reg], 0}
+                    : LaneRef<const NumReg>{st->lane_num_.data() + lane * cap, 1};
+  };
+  const auto str_in = [&](uint16_t reg) {
+    const int32_t lane = st->str_lane_[reg];
+    return lane < 0 ? LaneRef<const StrReg>{&st->str_[reg], 0}
+                    : LaneRef<const StrReg>{st->lane_str_.data() + lane * cap, 1};
+  };
+  const auto num_out = [&](uint16_t reg) {
+    return st->lane_num_.data() + st->num_lane_[reg] * cap;
+  };
+  const auto str_out = [&](uint16_t reg) {
+    return st->lane_str_.data() + st->str_lane_[reg] * cap;
+  };
+  const std::vector<int32_t>& lanes = st->lanes_;
+  for (const Insn& insn : epilogue_) {
+    bool ok = true;
+    switch (insn.op) {
+      case Op::kLoadNum: {
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) {
+          ok = NumRegFromValue(&d[t], row[insn.aux]) && ok;
+        }
+        break;
+      }
+      case Op::kLoadStr: {
+        StrReg* d = str_out(insn.dst);
+        for (const int32_t t : lanes) ok = LoadStr(row[insn.aux], &d[t]) && ok;
+        break;
+      }
+      case Op::kColLineage: {
+        const auto s = num_in(insn.a);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) {
+          ColLineage(/*derive=*/true, row[insn.aux], s[t], &d[t]);
+        }
+        break;
+      }
+      case Op::kNeg: {
+        const auto s = num_in(insn.a);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = Neg(s[t]);
+        break;
+      }
+      case Op::kNot: {
+        const auto s = num_in(insn.a);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = Not(s[t]);
+        break;
+      }
+      case Op::kArith: {
+        const auto l = num_in(insn.a);
+        const auto r = num_in(insn.b);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) {
+          d[t] = Arith(insn.sub, insn.aux != 0, l[t], r[t]);
+        }
+        break;
+      }
+      case Op::kMod: {
+        const auto l = num_in(insn.a);
+        const auto r = num_in(insn.b);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = Mod(l[t], r[t]);
+        break;
+      }
+      case Op::kCmpNum: {
+        const auto l = num_in(insn.a);
+        const auto r = num_in(insn.b);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = CmpNum(insn.sub, l[t], r[t]);
+        break;
+      }
+      case Op::kCmpStr: {
+        const auto l = str_in(insn.a);
+        const auto r = str_in(insn.b);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = CmpStr(insn.sub, l[t], r[t]);
+        break;
+      }
+      case Op::kLogic: {
+        const auto l = num_in(insn.a);
+        const auto r = num_in(insn.b);
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) d[t] = Logic(insn.sub, l[t], r[t]);
+        break;
+      }
+      case Op::kCallNum: {
+        const CallSite& site = call_sites_[insn.aux];
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) {
+          d[t] = CallNum(site, st->num_args_.data(), [&](size_t i) {
+            return num_in(site.args[i].reg)[t];
+          });
+        }
+        break;
+      }
+      case Op::kCallGeneric: {
+        const CallSite& site = call_sites_[insn.aux];
+        const bool to_str = insn.sub != 0;
+        NumReg* dnum = to_str ? nullptr : num_out(insn.dst);
+        StrReg* dstr = to_str ? str_out(insn.dst) : nullptr;
+        Value* owned = st->lane_owned_.data() + site.owned_slot * cap;
+        for (const int32_t t : lanes) {
+          ok = CallGeneric(
+                   site, &st->val_args_,
+                   [&](size_t i) {
+                     const Operand& arg = site.args[i];
+                     return arg.is_str ? BoxStr(str_in(arg.reg)[t])
+                                       : BoxNum(num_in(arg.reg)[t]);
+                   },
+                   &owned[t], to_str ? nullptr : &dnum[t],
+                   to_str ? &dstr[t] : nullptr) &&
+               ok;
+        }
+        break;
+      }
+      case Op::kProbeAgg:
+        ok = false;  // prologue-only: lane passes run without a resolver
+        break;
       case Op::kReadAggNum: {
         const AggSlot& slot = st->aggs_[insn.aux];
-        const Value& v = trial < 0 ? slot.main : slot.trials[trial];
-        if (!NumRegFromValue(&num[insn.dst], v)) st->bail_ = true;
+        if (agg_sites_[insn.aux].is_str || slot.trials_num.size() < cap) {
+          ok = false;
+          break;
+        }
+        NumReg* d = num_out(insn.dst);
+        for (const int32_t t : lanes) {
+          ok = ReadAggNum(slot.trials_num[t], &d[t]) && ok;
+        }
         break;
       }
       case Op::kReadAggStr: {
         const AggSlot& slot = st->aggs_[insn.aux];
-        const Value& v = trial < 0 ? slot.main : slot.trials[trial];
-        StrReg& d = str[insn.dst];
-        if (v.is_null()) {
-          d = StrReg{};
-        } else if (v.type() == ValueType::kString) {
-          d.s = v.str();
-          d.null = false;
-        } else {
-          d = StrReg{};
-          st->bail_ = true;
+        if (!agg_sites_[insn.aux].is_str || slot.trials_str.size() < cap) {
+          ok = false;
+          break;
+        }
+        StrReg* d = str_out(insn.dst);
+        for (const int32_t t : lanes) {
+          ok = LoadStr(slot.trials_str[t], &d[t]) && ok;
         }
         break;
       }
     }
+    if (!ok) {
+      st->bail_ = true;
+      return false;
+    }
   }
-  return !st->bail_;
+  return true;
 }
 
 bool ExprProgram::Bind(ExprProgramState* st, const Row& row,
@@ -794,50 +929,107 @@ bool ExprProgram::Bind(ExprProgramState* st, const Row& row,
                        int num_trials) const {
   st->bail_ = false;
   st->bound_trials_ = num_trials;
+  // Lane storage grows to the bound trial count and is kept across rows.
+  const size_t cap = static_cast<size_t>(std::max(num_trials, 0));
+  if (st->lane_num_.size() < st->num_lane_rows_ * cap) {
+    st->lane_num_.resize(st->num_lane_rows_ * cap);
+  }
+  if (st->lane_str_.size() < st->str_lane_rows_ * cap) {
+    st->lane_str_.resize(st->str_lane_rows_ * cap);
+  }
+  if (st->lane_owned_.size() < st->owned_.size() * cap) {
+    st->lane_owned_.resize(st->owned_.size() * cap);
+  }
   if (max_col_ >= 0 && static_cast<size_t>(max_col_) >= row.size()) {
     st->bail_ = true;
     return false;
   }
-  return RunSegment(prologue_, st, row, resolver, num_trials, /*trial=*/-1);
+  return RunSegment(prologue_, st, row, resolver, num_trials,
+                    /*derive_lineage=*/false);
 }
 
 bool ExprProgram::EvalTrial(ExprProgramState* st, const Row& row,
                             int trial) const {
   if (st->bail_) return false;
+  if (trial < 0) {
+    return RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0,
+                      /*derive_lineage=*/false);
+  }
   assert(trial < st->bound_trials_);
-  return RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0, trial);
+  if (trial >= st->bound_trials_) return false;
+  st->lanes_.assign(1, trial);
+  return RunLanes(st, row);
+}
+
+bool ExprProgram::EvalRefreshed(ExprProgramState* st, const Row& row) const {
+  if (st->bail_) return false;
+  return RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0,
+                    /*derive_lineage=*/true);
 }
 
 bool ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
-                             int num_trials, int pred_root, int first_val_root,
-                             size_t num_val_roots, double* w,
-                             Value* out_vals) const {
+                             int num_trials, int pred_root,
+                             uint8_t* mask) const {
+  if (st->bail_) return false;
+  assert(num_trials <= st->bound_trials_);
+  assert(pred_root < 0 || mask != nullptr);
+  if (num_trials > st->bound_trials_) return false;
+  st->lanes_.clear();
   for (int t = 0; t < num_trials; ++t) {
-    if (w[t] == 0.0) continue;
-    if (!EvalTrial(st, row, t)) return false;
-    if (pred_root >= 0 && !RootTruthy(*st, static_cast<size_t>(pred_root))) {
-      w[t] = 0.0;
-      continue;
-    }
-    for (size_t a = 0; a < num_val_roots; ++a) {
-      out_vals[static_cast<size_t>(t) * num_val_roots + a] =
-          RootValue(*st, static_cast<size_t>(first_val_root) + a);
+    if (mask == nullptr || mask[t] != 0) st->lanes_.push_back(t);
+  }
+  if (st->lanes_.empty()) return true;
+  if (!RunLanes(st, row)) return false;
+  if (pred_root < 0) return true;
+  const Root& pred = roots_[static_cast<size_t>(pred_root)];
+  for (const int32_t t : st->lanes_) {
+    // Strings (and NULL) are never truthy — mirrors Value::IsTruthy.
+    if (pred.out.is_str || !NumAt(*st, pred.out.reg, t).IsTruthy()) {
+      mask[t] = 0;
     }
   }
   return true;
 }
 
+const NumReg& ExprProgram::NumAt(const ExprProgramState& st, uint16_t reg,
+                                 int trial) const {
+  const int32_t lane = trial < 0 ? -1 : st.num_lane_[reg];
+  if (lane < 0) return st.num_[reg];
+  return st.lane_num_[lane * static_cast<size_t>(st.bound_trials_) + trial];
+}
+
+const StrReg& ExprProgram::StrAt(const ExprProgramState& st, uint16_t reg,
+                                 int trial) const {
+  const int32_t lane = trial < 0 ? -1 : st.str_lane_[reg];
+  if (lane < 0) return st.str_[reg];
+  return st.lane_str_[lane * static_cast<size_t>(st.bound_trials_) + trial];
+}
+
 bool ExprProgram::RootTruthy(const ExprProgramState& st, size_t r) const {
   const Root& root = roots_[r];
   // Strings (and NULL) are never truthy — mirrors Value::IsTruthy.
-  if (root.out.is_str) return false;
-  return Truthy(st.num_[root.out.reg]);
+  return !root.out.is_str && st.num_[root.out.reg].IsTruthy();
 }
 
-Value ExprProgram::RootValue(const ExprProgramState& st, size_t r) const {
+Value ExprProgram::RootValue(const ExprProgramState& st, size_t r,
+                             int trial) const {
   const Root& root = roots_[r];
-  return root.out.is_str ? BoxStr(st.str_[root.out.reg])
-                         : BoxNum(st.num_[root.out.reg]);
+  return root.out.is_str ? BoxStr(StrAt(st, root.out.reg, trial))
+                         : BoxNum(NumAt(st, root.out.reg, trial));
+}
+
+void ExprProgram::RootLanes(const ExprProgramState& st, size_t r,
+                            int num_trials, NumericValue* out) const {
+  assert(!roots_[r].out.is_str && num_trials <= st.bound_trials_);
+  const uint16_t reg = roots_[r].out.reg;
+  const int32_t lane = st.num_lane_[reg];
+  if (lane < 0) {
+    std::fill(out, out + num_trials, st.num_[reg]);
+  } else {
+    std::copy_n(
+        st.lane_num_.data() + lane * static_cast<size_t>(st.bound_trials_),
+        num_trials, out);
+  }
 }
 
 bool ExprProgram::root_trial_invariant(size_t r) const {
@@ -909,10 +1101,10 @@ std::string ExprProgram::ToString() const {
       out += " n" + std::to_string(reg) + "=";
       switch (value.tag) {
         case ValueType::kInt64:
-          out += "i:" + std::to_string(value.i);
+          out += "i:" + std::to_string(value.i64);
           break;
         case ValueType::kDouble:
-          out += "d:" + std::to_string(value.f);
+          out += "d:" + std::to_string(value.f64);
           break;
         default:
           out += "null";

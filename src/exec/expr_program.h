@@ -24,9 +24,15 @@ namespace iolap {
 //
 //   prologue  — executed once per row by Bind(): everything that does not
 //               depend on an uncertain aggregate, plus one batched resolver
-//               probe per AggLookup site (key gather + LookupTrials).
-//   epilogue  — executed once per trial by EvalTrial(): reads of the probed
-//               per-trial replicas and the operators downstream of them.
+//               probe per AggLookup site (key gather + typed LookupTrials).
+//   epilogue  — the reads of the probed per-trial replicas and the
+//               operators downstream of them. EvalTrial(-1) runs it once
+//               for the main (non-bootstrap) evaluation; EvalTrials runs it
+//               for the bootstrap trials *lane-major*: each instruction
+//               once per row, as a tight loop over the surviving trials,
+//               writing per-trial copies (lanes) of the registers the
+//               epilogue defines. Every opcode has exactly one scalar
+//               kernel, shared by the main pass and the lane loops.
 //
 // Compilation is conservative: trees the compiler cannot prove it evaluates
 // bit-identically to Expr::Eval (statically mixed string/numeric operands,
@@ -43,14 +49,10 @@ namespace iolap {
 
 namespace expr_prog {
 
-/// A numeric register: int64/double payload plus runtime tag. Invariant:
-/// when tag == kInt64, `f == double(i)` (so Value::AsDouble() is the plain
-/// load of `f` regardless of tag).
-struct NumReg {
-  double f = 0.0;
-  int64_t i = 0;
-  ValueType tag = ValueType::kNull;
-};
+/// A numeric register: int64/double payload plus runtime tag (the
+/// NumericValue invariant f64 == double(i64) for kInt64 holds, so
+/// Value::AsDouble() is the plain load of `f64` regardless of tag).
+using NumReg = NumericValue;
 
 /// A string register: a view into the source row, the program's literal
 /// pool, or a state-owned result slot — plus a null bit.
@@ -59,11 +61,14 @@ struct StrReg {
   bool null = true;
 };
 
-/// Per-row result of one AggLookup site: the main (trial = -1) value and
-/// the per-trial replicas, filled by the prologue's single resolver probe.
+/// Per-row result of one AggLookup site, filled by the prologue's single
+/// resolver probe: the main (trial = -1) value and the per-trial replicas.
+/// Numeric sites hold them unboxed; string sites keep Values.
 struct AggSlot {
-  Value main;
-  std::vector<Value> trials;
+  NumericValue main_num;
+  std::vector<NumericValue> trials_num;
+  Value main_str;
+  std::vector<Value> trials_str;
 };
 
 }  // namespace expr_prog
@@ -97,6 +102,23 @@ class ExprProgramState {
   /// Scratch argument buffers for call sites.
   std::vector<NumericValue> num_args_;
   std::vector<Value> val_args_;
+
+  // Lane execution (EvalTrials). Only registers the epilogue defines vary
+  // by trial; each gets a lane row of bound_trials_ copies, indexed by
+  // trial. Everything else is read from the scalar files above.
+  /// Per numeric / string register: its lane row, or -1 (not lane-varying).
+  std::vector<int32_t> num_lane_;
+  std::vector<int32_t> str_lane_;
+  int32_t num_lane_rows_ = 0;
+  int32_t str_lane_rows_ = 0;
+  std::vector<expr_prog::NumReg> lane_num_;  // [row * bound_trials_ + t]
+  std::vector<expr_prog::StrReg> lane_str_;  // [row * bound_trials_ + t]
+  /// Owned generic-call string results per trial:
+  /// [owned slot * bound_trials_ + t].
+  std::vector<Value> lane_owned_;
+  /// The trials a lane pass runs, ascending.
+  std::vector<int32_t> lanes_;
+
   bool bail_ = false;
   int bound_trials_ = 0;
 };
@@ -128,25 +150,40 @@ class ExprProgram {
             const AggLookupResolver* resolver, int num_trials) const;
 
   /// Runs the epilogue for one trial (trial = -1 selects the main,
-  /// non-bootstrap evaluation, exactly like EvalContext::trial). Requires a
-  /// successful Bind() of the same row, with trial < its num_trials.
-  /// Returns false if the row bailed.
+  /// non-bootstrap evaluation, exactly like EvalContext::trial; trial >= 0
+  /// is a one-lane EvalTrials). Requires a successful Bind() of the same
+  /// row, with trial < its num_trials. Returns false if the row bailed.
   bool EvalTrial(ExprProgramState* state, const Row& row, int trial) const;
 
-  /// Batched per-trial evaluation of the engine's hot loop. For every trial
-  /// t in [0, num_trials) with w[t] != 0: runs the epilogue, zeroes w[t] if
-  /// root `pred_root` is not truthy (pass pred_root = -1 for no filter),
-  /// otherwise stores roots [first_val_root, first_val_root + num_val_roots)
-  /// into out_vals[t * num_val_roots + a]. Returns false on bail, in which
-  /// case w/out_vals contents are unspecified and the caller must redo the
+  /// The main pass over a row whose uncertain (lineage) columns may be
+  /// stale: reads them through their compiled lineage instead of the stored
+  /// value. Equals EvalTrial(-1) over the row after its lineage refresh
+  /// (BlockExecutor::RefreshRow), without copying the row.
+  bool EvalRefreshed(ExprProgramState* state, const Row& row) const;
+
+  /// Lane execution of the epilogue for the bootstrap trials: every
+  /// instruction runs once, as a loop over the trials t in [0, num_trials)
+  /// with mask[t] != 0 (every trial when `mask` is null). With pred_root
+  /// >= 0, then zeroes mask[t] for each such trial whose root `pred_root`
+  /// is not truthy. Trial t's root results are read with
+  /// RootValue(state, r, t) or RootLanes. Requires a successful Bind() of the same row
+  /// with num_trials <= its num_trials. Returns false on bail, in which
+  /// case the mask and lanes are unspecified and the caller must redo the
   /// row with the interpreter.
   bool EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
-                  int pred_root, int first_val_root, size_t num_val_roots,
-                  double* w, Value* out_vals) const;
+                  int pred_root, uint8_t* mask) const;
 
-  /// Result of root `r` after Bind (invariant roots) / EvalTrial.
+  /// Truthiness of root `r` after the main pass.
   bool RootTruthy(const ExprProgramState& state, size_t r) const;
-  Value RootValue(const ExprProgramState& state, size_t r) const;
+  /// Result of root `r` in trial `trial` (-1 = the main pass). Invariant
+  /// roots read the prologue's value for every trial.
+  Value RootValue(const ExprProgramState& state, size_t r,
+                  int trial = -1) const;
+  /// A numeric root's (!root_is_string(r)) unboxed values in trials
+  /// [0, num_trials) into out[t], after EvalTrials; the trials EvalTrials
+  /// skipped hold unspecified values.
+  void RootLanes(const ExprProgramState& state, size_t r, int num_trials,
+                 NumericValue* out) const;
 
   size_t num_roots() const { return roots_.size(); }
   /// True if root `r` is fully trial-invariant (decided by the prologue).
@@ -234,6 +271,8 @@ class ExprProgram {
     int block_id = 0;
     int col = 0;
     std::vector<Operand> key_regs;
+    /// Static kind of the looked-up value: string sites keep Value slots.
+    bool is_str = false;
   };
 
   struct Root {
@@ -243,9 +282,18 @@ class ExprProgram {
 
   ExprProgram() = default;
 
+  /// Scalar execution: the prologue (with `resolver`) or the main pass of
+  /// the epilogue.
   bool RunSegment(const std::vector<Insn>& seg, ExprProgramState* st,
                   const Row& row, const AggLookupResolver* resolver,
-                  int num_trials, int trial) const;
+                  int num_trials, bool derive_lineage) const;
+  /// Lane execution of the epilogue over the trials in st->lanes_.
+  bool RunLanes(ExprProgramState* st, const Row& row) const;
+  /// The register a root's value lives in for `trial`.
+  const expr_prog::NumReg& NumAt(const ExprProgramState& st, uint16_t reg,
+                                 int trial) const;
+  const expr_prog::StrReg& StrAt(const ExprProgramState& st, uint16_t reg,
+                                 int trial) const;
 
   std::vector<Insn> prologue_;
   std::vector<Insn> epilogue_;

@@ -106,10 +106,10 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
              res;
     }
     if (value.tag == ValueType::kInt64 &&
-        value.f != static_cast<double>(value.i)) {
+        value.f64 != static_cast<double>(value.i64)) {
       return fail(kNullTag,
                   "int constant n" + std::to_string(reg) +
-                      " violates the NumReg invariant f == double(i)"),
+                      " violates the NumReg invariant f64 == double(i64)"),
              res;
     }
     num_def[reg] = Def::kConst;

@@ -51,7 +51,7 @@ namespace iolap {
 //                    kArith's sub is +,-,*,/ and its int-output flag is
 //                    0/1; numeric constants carry a numeric tag (never
 //                    kString) and int-tagged constants satisfy the NumReg
-//                    invariant f == double(i) that AsDouble() relies on.
+//                    invariant f64 == double(i64) that AsDouble() relies on.
 //   aux-bounds       every aux index lands inside call_sites_ / agg_sites_
 //                    / the const pools; every register index is below the
 //                    claimed file size; owned_slot is below owned_slots_;

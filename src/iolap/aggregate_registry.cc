@@ -337,40 +337,38 @@ Value AggregateRegistry::LookupTrial(int block, int col, const Row& key,
 }
 
 void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
-                                     int num_trials, Value* out) const {
+                                     int num_trials,
+                                     NumericValue* out) const {
   const Relation& rel = relations_[block];
   if (col < rel.num_keys) {
-    const Value v =
-        col < static_cast<int>(key.size()) ? key[col] : Value::Null();
-    for (int t = 0; t < num_trials; ++t) out[t] = v;
+    const NumericValue v = NumericValue::Of(
+        col < static_cast<int>(key.size()) ? key[col] : Value::Null());
+    std::fill(out, out + num_trials, v);
     return;
   }
   const Entry* entry = FindEntry(block, key);
   if (entry == nullptr) {
-    for (int t = 0; t < num_trials; ++t) out[t] = Value::Null();
+    std::fill(out, out + num_trials, NumericValue::Null());
     return;
   }
   const size_t a = static_cast<size_t>(col - rel.num_keys);
+  const double s = ColScale(rel, a);
   // Trials the replica vector does not cover fall back to the (re-scaled)
   // main value, exactly like LookupTrial.
-  Value fallback = Value::Null();
+  NumericValue fallback = NumericValue::Null();
   if (a < entry->main.size() && !entry->main[a].is_null()) {
-    const double s = ColScale(rel, a);
-    fallback = s == 1.0 ? entry->main[a]
-                        : Value::Double(entry->main[a].AsDouble() * s);
+    fallback = s == 1.0 ? NumericValue::Of(entry->main[a])
+                        : NumericValue::Dbl(entry->main[a].AsDouble() * s);
   }
-  if (a >= entry->trials.size()) {
-    for (int t = 0; t < num_trials; ++t) out[t] = fallback;
-    return;
+  int covered = 0;
+  if (a < entry->trials.size()) {
+    const std::vector<double>& trials = entry->trials[a];
+    covered = std::min(num_trials, static_cast<int>(trials.size()));
+    for (int t = 0; t < covered; ++t) {
+      out[t] = NumericValue::Dbl(trials[t] * s);
+    }
   }
-  const std::vector<double>& trials = entry->trials[a];
-  const double s = ColScale(rel, a);
-  const int covered =
-      std::min(num_trials, static_cast<int>(trials.size()));
-  for (int t = 0; t < covered; ++t) {
-    out[t] = Value::Double(trials[t] * s);
-  }
-  for (int t = covered; t < num_trials; ++t) out[t] = fallback;
+  std::fill(out + covered, out + num_trials, fallback);
 }
 
 Interval AggregateRegistry::LookupRange(int block, int col,

@@ -139,11 +139,12 @@ class AggregateRegistry final : public AggLookupResolver,
   Value Lookup(int block, int col, const Row& key) const override;
   Value LookupTrial(int block, int col, const Row& key,
                     int trial) const override;
-  /// Batched probe for the compiled expression path: one entry lookup for
-  /// all trials instead of one per trial. Result-identical to calling
+  /// Batched, typed probe for the compiled expression path: one entry
+  /// lookup for all trials instead of one per trial, unboxed straight from
+  /// the stored replica doubles. Result-identical to NumericValue::Of of
   /// LookupTrial for each trial in [0, num_trials).
   void LookupTrials(int block, int col, const Row& key, int num_trials,
-                    Value* out) const override;
+                    NumericValue* out) const override;
   Interval LookupRange(int block, int col, const Row& key) const override;
 
  private:

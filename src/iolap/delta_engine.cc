@@ -49,6 +49,7 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
       sketch_(&block_->aggs, options->num_trials) {
   for (bool uncertain : ann_->agg_arg_uncertain) {
     any_agg_arg_uncertain_ = any_agg_arg_uncertain_ || uncertain;
+    arg_invariant_.push_back(!uncertain);
   }
   for (bool uncertain : ann_->spj_attr_uncertain) {
     any_attr_uncertain_ = any_attr_uncertain_ || uncertain;
@@ -105,6 +106,12 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     }
   }
   if (row_program_ != nullptr) {
+    // An argument the analysis calls trial-invariant reads nothing the
+    // epilogue defines, so its main value is every trial's value.
+    for (size_t a = 0; a < arg_invariant_.size(); ++a) {
+      assert(!arg_invariant_[a] || row_program_->root_trial_invariant(
+                                       static_cast<size_t>(arg_root_base_) + a));
+    }
     prog_states_.resize(pool_ != nullptr ? pool_->num_lanes() : 1);
     for (ExprProgramState& state : prog_states_) {
       row_program_->InitState(&state);
@@ -167,6 +174,13 @@ IntervalTruth BlockExecutor::Classify(RowRef row,
                                       RangeConstraintSink* sink) const {
   if (block_->filter == nullptr) return IntervalTruth::kAlwaysTrue;
   EvalContext ctx = MainContext();
+  // A deterministic filter decides by direct evaluation in every mode
+  // (ClassifyPredicate's own fast path, without its per-row tree walk).
+  if (!ann_->filter_uncertain) {
+    return block_->filter->Eval(row.values, ctx).IsTruthy()
+               ? IntervalTruth::kAlwaysTrue
+               : IntervalTruth::kAlwaysFalse;
+  }
   // With pruning disabled (recovery-storm staircase level 2) fall through
   // to conservative tagging: nothing is decided, so no new obligations are
   // registered — but range maintenance stays on and existing obligations
@@ -181,13 +195,7 @@ IntervalTruth BlockExecutor::Classify(RowRef row,
     return ClassifyPredicate(*block_->filter, row.values, ctx);
   }
   // Conservative §4.1 tagging (also the HDA behaviour): any tuple whose
-  // filter reads uncertain values is non-deterministic; purely
-  // deterministic filters evaluate normally.
-  if (!ann_->filter_uncertain) {
-    return block_->filter->Eval(row.values, ctx).IsTruthy()
-               ? IntervalTruth::kAlwaysTrue
-               : IntervalTruth::kAlwaysFalse;
-  }
+  // filter reads uncertain values is non-deterministic.
   return IntervalTruth::kUndecided;
 }
 
@@ -236,11 +244,38 @@ void BlockExecutor::AccumulateCertain(RowRef row, const uint8_t* weights,
   }
 }
 
-bool BlockExecutor::EvaluateRowCompiled(RowRef row, RowEval* ev,
-                                        ExprProgramState* ps) const {
+void BlockExecutor::StartTrialMask(RowRef row, uint8_t* slot,
+                                   RowEval* ev) const {
   const int trials = bootstrap_.num_trials();
+  const bool streamed = ev->weights != nullptr;  // slot holds Fill's bytes
+  for (int t = 0; t < trials; ++t) {
+    const uint8_t m = streamed ? slot[t] : 1;
+    slot[t] = row.weight * m != 0.0 ? m : 0;
+  }
+  ev->weights = slot;
+  ev->weight = row.weight;
+  if (any_agg_arg_uncertain_) {
+    ev->trial_vals.resize(block_->aggs.size() * static_cast<size_t>(trials));
+  }
+}
+
+void BlockExecutor::RowEval::BoxTrialVals() {
+  boxed = true;
+  if (boxed_vals == nullptr) boxed_vals = std::make_unique<std::vector<Value>>();
+  boxed_vals->resize(trial_vals.size());
+  for (size_t i = 0; i < trial_vals.size(); ++i) {
+    (*boxed_vals)[i] = trial_vals[i].ToValue();
+  }
+}
+
+bool BlockExecutor::EvaluateRowCompiled(RowRef row, uint8_t* slot,
+                                        RowEval* ev,
+                                        ExprProgramState* ps) const {
   // Prologue: trial-invariant subexpressions plus one batched resolver
-  // probe per aggregate-lookup site, then the main (trial = -1) pass.
+  // probe per aggregate-lookup site, then the main (trial = -1) pass. A
+  // block without aggregates reads only the main pass, so it probes no
+  // trial replicas.
+  const int trials = block_->has_aggregate() ? bootstrap_.num_trials() : 0;
   if (!row_program_->Bind(ps, row.values, registry_, trials)) return false;
   if (!row_program_->EvalTrial(ps, row.values, -1)) return false;
   ev->main_pass =
@@ -249,38 +284,60 @@ bool BlockExecutor::EvaluateRowCompiled(RowRef row, RowEval* ev,
   const size_t num_aggs = block_->aggs.size();
   ev->key = GroupKeyOf(row);
   ev->key_hash = HashRow(ev->key);
-  if (ev->main_pass) {
-    ev->main_vals.clear();
+  ev->main_vals.clear();
+  if (ev->main_pass || trials > 0) {
     ev->main_vals.reserve(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
       ev->main_vals.push_back(row_program_->RootValue(
           *ps, static_cast<size_t>(arg_root_base_) + a));
     }
   }
-  // Candidate weights up front; EvalTrials zeroes the trials whose filter
-  // decision fails under that resample and fills the argument values of the
-  // surviving ones — the same end state the interpreted loop produces.
-  ev->trial_w.assign(trials, 0.0);
-  ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
-  for (int t = 0; t < trials; ++t) {
-    ev->trial_w[t] =
-        row.weight * (ev->weights != nullptr ? ev->weights[t] : 1);
+  if (trials == 0) return true;
+  // The trial lanes: EvalTrials zeroes the mask of every trial whose
+  // filter decision fails under that resample; the surviving trials'
+  // trial-variant arguments are then read out of the lanes — the same end
+  // state the interpreted loop produces.
+  const bool streamed = ev->weights != nullptr;
+  StartTrialMask(row, slot, ev);
+  if (!row_program_->EvalTrials(ps, row.values, trials, filter_root_, slot)) {
+    // The interpreter redoes the row from its pristine multiplicities.
+    ev->weights = nullptr;
+    if (streamed) {
+      bootstrap_.Fill(row.stream_uid, slot);
+      ev->weights = slot;
+    }
+    return false;
   }
-  return row_program_->EvalTrials(ps, row.values, trials, filter_root_,
-                                  arg_root_base_, num_aggs, ev->trial_w.data(),
-                                  ev->trial_vals.data());
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (arg_invariant_[a]) continue;
+    const size_t root = static_cast<size_t>(arg_root_base_) + a;
+    if (!ev->boxed && row_program_->root_is_string(root)) ev->BoxTrialVals();
+    const size_t base = a * static_cast<size_t>(trials);
+    if (!ev->boxed) {
+      row_program_->RootLanes(*ps, root, trials, &ev->trial_vals[base]);
+      continue;
+    }
+    for (int t = 0; t < trials; ++t) {
+      if (slot[t] != 0) {
+        (*ev->boxed_vals)[base + t] = row_program_->RootValue(*ps, root, t);
+      }
+    }
+  }
+  return true;
 }
 
 void BlockExecutor::RowEval::Reset() {
   truth = IntervalTruth::kUndecided;
   pending_route = false;
   main_pass = false;
+  boxed = false;
   weights = nullptr;
   key.clear();
   key_hash = 0;
   main_vals.clear();
-  trial_w.clear();
-  trial_vals.clear();
+  weight = 0.0;
+  // trial_vals and boxed_vals keep their contents: only the surviving
+  // trials' slots are ever read, and every fill rewrites those.
   constraints.clear();
 }
 
@@ -332,7 +389,8 @@ void BlockExecutor::EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
   // per-trial membership/argument evaluations. These read only the row and
   // the registry (frozen during a batch), never the sketch, so they run
   // concurrently per row; the contributions are applied serially later.
-  if (prog_state != nullptr && EvaluateRowCompiled(row, ev, prog_state)) {
+  if (prog_state != nullptr &&
+      EvaluateRowCompiled(row, weights, ev, prog_state)) {
     return;
   }
   // Interpreter path: no compiled program, or the row bailed mid-way (the
@@ -344,8 +402,9 @@ void BlockExecutor::EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
   const size_t num_aggs = block_->aggs.size();
   ev->key = GroupKeyOf(row);
   ev->key_hash = HashRow(ev->key);
+  const int trials = bootstrap_.num_trials();
   ev->main_vals.clear();
-  if (ev->main_pass) {
+  if (ev->main_pass || trials > 0) {
     ev->main_vals.reserve(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
       ev->main_vals.push_back(block_->aggs[a].arg->Eval(row.values, ctx));
@@ -355,22 +414,30 @@ void BlockExecutor::EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
   // bootstrap resample, using the trial replicas of the aggregates it
   // reads. This is what makes the error estimate honest for tuples whose
   // membership is itself uncertain.
-  const int trials = bootstrap_.num_trials();
-  ev->trial_w.assign(trials, 0.0);
-  ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
+  if (trials == 0) return;
+  ev->boxed = false;
+  StartTrialMask(row, weights, ev);
   for (int t = 0; t < trials; ++t) {
-    const double w =
-        row.weight * (ev->weights != nullptr ? ev->weights[t] : 1);
-    if (w == 0.0) continue;
+    if (weights[t] == 0) continue;
     ctx.trial = t;
     if (block_->filter != nullptr &&
         !block_->filter->Eval(row.values, ctx).IsTruthy()) {
+      weights[t] = 0;
       continue;
     }
-    ev->trial_w[t] = w;
     for (size_t a = 0; a < num_aggs; ++a) {
-      ev->trial_vals[static_cast<size_t>(t) * num_aggs + a] =
-          block_->aggs[a].arg->Eval(row.values, ctx);
+      if (arg_invariant_[a]) continue;
+      Value v = block_->aggs[a].arg->Eval(row.values, ctx);
+      const size_t i = a * static_cast<size_t>(trials) + t;
+      if (!ev->boxed) {
+        const NumericValue nv = NumericValue::Of(v);
+        if (nv.tag != ValueType::kString) {
+          ev->trial_vals[i] = nv;
+          continue;
+        }
+        ev->BoxTrialVals();
+      }
+      (*ev->boxed_vals)[i] = std::move(v);
     }
   }
 }
@@ -386,7 +453,9 @@ void BlockExecutor::ApplyPending(RowRef row, size_t eval_idx, int batch,
     }
   }
   bool any_trial = false;
-  for (double w : ev.trial_w) any_trial = any_trial || w != 0.0;
+  for (int t = 0; t < bootstrap_.num_trials(); ++t) {
+    any_trial = any_trial || ev.weights[t] != 0;
+  }
   if (!any_trial) return;
   if (cells == nullptr) {
     // Trial-only pass: contribute only when the group's existence is
@@ -417,7 +486,6 @@ void BlockExecutor::FlushDeferredTrials() {
     deferred_pending_.clear();
     return;
   }
-  const size_t num_aggs = block_->aggs.size();
   const auto flush_range = [&](size_t begin, size_t end, size_t /*lane*/) {
     // Certain rows first, then pending rows, each in serial-apply order.
     // The two lists target disjoint accumulators (sketch vs. the batch
@@ -428,12 +496,23 @@ void BlockExecutor::FlushDeferredTrials() {
     for (const CertainTrialAdd& rec : deferred_certain_) {
       rec.acc->AddTrials(rec.v, rec.weight, rec.weights, t0, t1);
     }
+    // A pending row folds its trial-masked multiplicities in one range: a
+    // trial-invariant argument as the main value (the certain rows' fold),
+    // a trial-variant one from its per-trial lanes.
     for (const PendingTrialAdd& rec : deferred_pending_) {
       const RowEval& ev = row_scratch_[rec.eval_idx];
-      for (size_t i = begin; i < end; ++i) {
-        rec.acc->AddTrialOnly(static_cast<int>(i),
-                              ev.trial_vals[i * num_aggs + rec.agg],
-                              ev.trial_w[i]);
+      const uint8_t* mask = ev.weights;
+      const size_t base = rec.agg * static_cast<size_t>(trials);
+      if (arg_invariant_[rec.agg]) {
+        rec.acc->AddTrials(ev.main_vals[rec.agg], ev.weight, mask, t0, t1);
+      } else if (!ev.boxed) {
+        rec.acc->AddTrialLanes(ev.trial_vals.data() + base, ev.weight, mask,
+                               t0, t1);
+      } else {
+        for (int t = t0; t < t1; ++t) {
+          rec.acc->AddTrialOnly(t, (*ev.boxed_vals)[base + t],
+                                ev.weight * mask[t]);
+        }
       }
     }
   };
@@ -518,10 +597,18 @@ int BlockExecutor::EvaluateBatch(int batch, double scale,
                                  BlockBatchStats* stats) {
   assert(owned != nullptr || !any_attr_uncertain_);
   // What the shuffle cost model charges for this batch's fresh rows (plus
-  // per-row bootstrap overhead for streamed rows).
-  for (const RowRef row : fresh) {
-    stats->shipped_bytes += row.ByteSize();
-    if (row.FromStream()) stats->shipped_bytes += bootstrap_.RowOverheadBytes();
+  // per-row bootstrap overhead for streamed rows). Catalog views arrive
+  // with their row bytes cached by the controller.
+  if (fresh.has_row_bytes()) {
+    const uint64_t overhead = bootstrap_.RowOverheadBytes();
+    stats->shipped_bytes += fresh.row_bytes() + fresh.streamed_rows() * overhead;
+  } else {
+    for (const RowRef row : fresh) {
+      stats->shipped_bytes += row.ByteSize();
+      if (row.FromStream()) {
+        stats->shipped_bytes += bootstrap_.RowOverheadBytes();
+      }
+    }
   }
 
   GroupedAggregateState temp(&block_->aggs, options_->num_trials);
@@ -901,16 +988,22 @@ Table BlockExecutor::CurrentSpjOutput(
   Table out(block_->output_schema);
   EvalContext ctx = MainContext();
   const int trials = bootstrap_.num_trials();
-  // Compiled projection path: one Bind (with its batched aggregate probes)
-  // covers the main pass and every per-trial re-evaluation of the row.
-  // Returns false on a runtime bail; the caller redoes the row interpreted.
-  auto emit_compiled = [&](const ExecRow& row) -> bool {
+  const size_t num_proj = block_->projections.size();
+  // Compiled projection path over the stored row: one Bind (with its
+  // batched aggregate probes) and a main pass that derives the uncertain
+  // columns through their compiled lineage (so the stored row needs no
+  // refreshed copy), then — with estimates — one lane pass for every
+  // trial, whose replicas go straight into the estimate vectors. Returns
+  // false on a runtime bail; the caller redoes the row interpreted.
+  auto emit_compiled = [&](const ExecRow& stored) -> bool {
     if (proj_program_ == nullptr) return false;
-    const size_t num_proj = block_->projections.size();
     const int bind_trials = estimates != nullptr ? trials : 0;
-    if (!proj_program_->Bind(&proj_state_, row.values, registry_,
+    if (!proj_program_->Bind(&proj_state_, stored.values, registry_,
                              bind_trials) ||
-        !proj_program_->EvalTrial(&proj_state_, row.values, -1)) {
+        !proj_program_->EvalRefreshed(&proj_state_, stored.values) ||
+        (bind_trials > 0 &&
+         !proj_program_->EvalTrials(&proj_state_, stored.values, bind_trials,
+                                    /*pred_root=*/-1, /*mask=*/nullptr))) {
       return false;
     }
     Row projected;
@@ -921,17 +1014,23 @@ Table BlockExecutor::CurrentSpjOutput(
     if (estimates != nullptr) {
       std::vector<std::vector<double>> row_trials(num_proj);
       for (size_t p = 0; p < num_proj; ++p) {
-        if (ann_->output_attr_uncertain[p]) row_trials[p].reserve(trials);
-      }
-      for (int t = 0; t < trials; ++t) {
-        if (!proj_program_->EvalTrial(&proj_state_, row.values, t)) {
-          return false;
+        if (!ann_->output_attr_uncertain[p]) continue;
+        // A NULL replica reports the main value.
+        const double fallback = projected[p].AsDouble();
+        std::vector<double>& replicas = row_trials[p];
+        replicas.resize(static_cast<size_t>(trials));
+        if (proj_program_->root_is_string(p)) {
+          for (int t = 0; t < trials; ++t) {
+            const Value v = proj_program_->RootValue(proj_state_, p, t);
+            replicas[t] = v.is_null() ? fallback : v.AsDouble();
+          }
+          continue;
         }
-        for (size_t p = 0; p < num_proj; ++p) {
-          if (!ann_->output_attr_uncertain[p]) continue;
-          const Value v = proj_program_->RootValue(proj_state_, p);
-          row_trials[p].push_back(v.is_null() ? projected[p].AsDouble()
-                                              : v.AsDouble());
+        proj_lanes_.resize(static_cast<size_t>(trials));
+        proj_program_->RootLanes(proj_state_, p, trials, proj_lanes_.data());
+        for (int t = 0; t < trials; ++t) {
+          const NumericValue& v = proj_lanes_[t];
+          replicas[t] = v.is_null() ? fallback : v.f64;
         }
       }
       estimates->push_back(std::move(row_trials));
@@ -940,6 +1039,7 @@ Table BlockExecutor::CurrentSpjOutput(
     return true;
   };
   auto emit = [&](const ExecRow& stored) {
+    if (emit_compiled(stored)) return;
     // Uncertain attributes are re-read from the registry on every output;
     // a block without them emits the stored row as it is.
     ExecRow refreshed;
@@ -948,19 +1048,18 @@ Table BlockExecutor::CurrentSpjOutput(
       RefreshRow(&refreshed, /*charge_regeneration=*/false);
     }
     const ExecRow& row = any_attr_uncertain_ ? refreshed : stored;
-    if (emit_compiled(row)) return;
     ctx.trial = -1;
     Row projected;
-    projected.reserve(block_->projections.size());
+    projected.reserve(num_proj);
     for (const ExprPtr& p : block_->projections) {
       projected.push_back(p->Eval(row.values, ctx));
     }
     if (estimates != nullptr) {
-      std::vector<std::vector<double>> row_trials(block_->projections.size());
-      for (size_t p = 0; p < block_->projections.size(); ++p) {
+      std::vector<std::vector<double>> row_trials(num_proj);
+      for (size_t p = 0; p < num_proj; ++p) {
         if (!ann_->output_attr_uncertain[p]) continue;
-        row_trials[p].reserve(bootstrap_.num_trials());
-        for (int t = 0; t < bootstrap_.num_trials(); ++t) {
+        row_trials[p].reserve(trials);
+        for (int t = 0; t < trials; ++t) {
           ctx.trial = t;
           const Value v = block_->projections[p]->Eval(row.values, ctx);
           row_trials[p].push_back(v.is_null() ? projected[p].AsDouble()

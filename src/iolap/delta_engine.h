@@ -328,24 +328,39 @@ class BlockExecutor {
     bool pending_route = false;
     /// Main (trial = -1) filter decision of a pending-routed row.
     bool main_pass = false;
+    /// Set when some trial-variant argument took a string value: the
+    /// arguments then live in boxed_vals instead of trial_vals.
+    bool boxed = false;
     /// The row's packed bootstrap multiplicities (BootstrapWeights::Fill,
     /// one byte per trial, in row_weights_); null when the row is not
-    /// streamed or contributes to no aggregate.
+    /// streamed or contributes to no aggregate. For a pending-routed
+    /// aggregate row this is its *trial mask* instead: the multiplicity
+    /// (1 for a non-streamed row) where the row survives that trial —
+    /// nonzero weight and a passing filter — and 0 elsewhere, so its
+    /// trial weight is weight * weights[t].
     const uint8_t* weights = nullptr;
     Row key;                       // group key (aggregate blocks only)
     /// HashRow(key), computed during the parallel evaluation phase so the
     /// serial apply phase probes the group maps without re-hashing.
     uint64_t key_hash = 0;
-    std::vector<Value> main_vals;  // agg args at trial -1 (main_pass only)
-    /// Per-trial surviving weight; 0 = multiplicity zero or filter failed
-    /// under that resample.
-    std::vector<double> trial_w;
-    /// Agg args per surviving trial, flattened [t * num_aggs + a].
-    std::vector<Value> trial_vals;
+    /// Agg args at trial -1 (pending-routed aggregate rows). Folded into
+    /// the main replicas when main_pass; a trial-invariant argument's value
+    /// is also its value in every trial.
+    std::vector<Value> main_vals;
+    /// RowRef::weight of a pending-routed aggregate row.
+    double weight = 0.0;
+    /// Trial-variant agg args per surviving trial, agg-major
+    /// [a * num_trials + t]; stale outside the surviving trials. Sized
+    /// only by blocks with a trial-variant argument.
+    std::vector<NumericValue> trial_vals;
+    /// Same layout as trial_vals, allocated on the first boxed row.
+    std::unique_ptr<std::vector<Value>> boxed_vals;
     std::vector<ConstraintOp> constraints;
 
     /// Back to a fresh slot's state, keeping the vectors' capacity.
     void Reset();
+    /// Switches to boxed storage, boxing the lanes filled so far.
+    void BoxTrialVals();
   };
 
   /// Deferred trial-replica contribution of a certain row: the same value
@@ -359,8 +374,8 @@ class BlockExecutor {
     const uint8_t* weights;
   };
 
-  /// Deferred trial-replica contribution of a pending row: values and
-  /// weights differ per trial and live in row_scratch_[eval_idx].
+  /// Deferred trial-replica contribution of a pending row: its trial mask
+  /// and values live in row_scratch_[eval_idx].
   struct PendingTrialAdd {
     TrialAccumulatorSet* acc;
     uint32_t eval_idx;
@@ -397,7 +412,8 @@ class BlockExecutor {
   /// row's bootstrap multiplicities into `weights` (num_trials bytes, the
   /// row's own slot) when it feeds an aggregate, and — when the row routes
   /// to the non-deterministic path — the per-trial filter/argument
-  /// evaluations. Resets `ev` first, so it overwrites a reused slot (and a
+  /// evaluations, leaving the row's trial mask in `weights` (see
+  /// RowEval::weights). Resets `ev` first, so it overwrites a reused slot (and a
   /// retried attempt) completely. Writes only the row's own slots; safe to
   /// run concurrently per row. `prog_state` is the caller's lane-private
   /// compiled-program scratch (null = interpret).
@@ -405,12 +421,18 @@ class BlockExecutor {
                    ExprProgramState* prog_state) const;
 
   /// Compiled fast path for the non-deterministic part of EvaluateRow:
-  /// one Bind (prologue + batched aggregate probes) plus the per-trial
-  /// epilogue via EvalTrials. Returns false when the row hit a construct
-  /// the program does not cover — the caller redoes the row with the
-  /// interpreter, so results never change.
-  bool EvaluateRowCompiled(RowRef row, RowEval* ev,
+  /// one Bind (prologue + batched aggregate probes), the main pass, and —
+  /// for aggregate blocks — the trial lanes via EvalTrials. Returns false
+  /// when the row hit a construct the program does not cover — the caller
+  /// redoes the row with the interpreter, so results never change.
+  bool EvaluateRowCompiled(RowRef row, uint8_t* slot, RowEval* ev,
                            ExprProgramState* ps) const;
+
+  /// Starts a pending aggregate row's trial state in its multiplicity
+  /// `slot`: the trial mask before any filter decision (the packed
+  /// multiplicity wherever the weighted multiplicity is nonzero), the row
+  /// weight, and room for its trial-variant arguments.
+  void StartTrialMask(RowRef row, uint8_t* slot, RowEval* ev) const;
 
   /// Routes an evaluated row: sketch/sink for certain rows, the pending
   /// (non-deterministic) set otherwise. A row entering the sink or the
@@ -437,9 +459,10 @@ class BlockExecutor {
   /// Drains the deferred trial-replica adds, partitioned across the pool
   /// by trial index: lanes own disjoint trial replicas, and each replica
   /// receives its adds in serial-apply (row) order, so the result is
-  /// bit-identical for every thread count. A certain row's record is one
-  /// range fold over the lane's trials. (Entered from the serial phase;
-  /// the internal fan-out mutates lane-disjoint replicas only.)
+  /// bit-identical for every thread count. Every record is one range fold
+  /// over the lane's trials; a pending row's folds its masked
+  /// multiplicities. (Entered from the serial phase; the internal fan-out
+  /// mutates lane-disjoint replicas only.)
   void FlushDeferredTrials() IOLAP_REQUIRES(engine_serial_phase);
 
   /// Publishes sketch ∪ temp to the registry; returns rollback target or
@@ -476,6 +499,9 @@ class BlockExecutor {
   bool consumed_downstream_;
   bool feeds_join_;
   bool any_agg_arg_uncertain_ = false;
+  /// Per aggregate: its argument reads no uncertain value, so every trial
+  /// evaluates it to the main value (stored once, folded as one range).
+  std::vector<bool> arg_invariant_;
   /// Some SPJ column has lineage (it reads an upstream aggregate), so
   /// RefreshRow rewrites rows. Only blocks with a block-output input.
   bool any_attr_uncertain_ = false;
@@ -504,6 +530,7 @@ class BlockExecutor {
   std::vector<ExprProgramState> prog_states_;
   /// Scratch for proj_program_ (CurrentSpjOutput is const and serial).
   mutable ExprProgramState proj_state_;
+  mutable std::vector<NumericValue> proj_lanes_;
 
   // Operator states (§4.2).
   std::vector<JoinStep> join_steps_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "core/aggregate.h"
+#include "core/function_registry.h"
 
 namespace iolap {
 namespace {
@@ -253,6 +255,122 @@ TEST(TrialAccumulatorTest, SplitRangeEqualsPerTrialAdds) {
   const std::vector<double> merged = copy.TrialResults(1.0);
   for (int t = 0; t < kTrials; ++t) EXPECT_EQ(merged[t], a[t]) << "trial " << t;
   EXPECT_EQ(split.TrialResults(1.0), a);  // the clone is independent
+}
+
+// The pending path's folds: a trial-invariant argument folds its main value
+// as one AddTrials range over the row's multiplicities with the failed
+// trials masked to 0, a trial-variant one its per-trial values through
+// AddTrialLanes. Both must equal AddTrialOnly(t, v, weight * mask[t]) per
+// trial, bit for bit, for every aggregate kind — including NaN, ±inf, NULL,
+// -0.0, zero row weights and lane splits.
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+std::vector<std::shared_ptr<const AggFunction>> EveryAggFunction() {
+  std::vector<std::shared_ptr<const AggFunction>> fns;
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                       AggKind::kMin, AggKind::kMax, AggKind::kVar,
+                       AggKind::kStddev}) {
+    fns.push_back(MakeBuiltinAggFunction(kind));
+  }
+  auto registry = FunctionRegistry::Default();
+  for (const char* name : {"geomean", "harmonic_mean", "rms"}) {
+    fns.push_back(*registry->FindAggregate(name));
+  }
+  return fns;
+}
+
+TEST(TrialAccumulatorTest, MaskedRangeFoldsEqualPerTrialAdds) {
+  constexpr int kTrials = 23;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> inputs = {
+      Value::Double(1.5),  Value::Double(-2.25), Value::Null(),
+      Value::Double(0.0),  Value::Double(-0.0),  Value::Int64(4),
+      Value::Double(inf),  Value::Double(-inf),  Value::Double(NAN),
+      Value::Double(1e-300), Value::Int64(-7),   Value::Double(3.0)};
+  const std::vector<double> row_weights = {1.0, 0.5, 0.0, 2.0};
+  Rng rng(99);
+  for (const auto& fn : EveryAggFunction()) {
+    for (int split : {0, 7, kTrials}) {
+      TrialAccumulatorSet invariant(*fn, kTrials);
+      TrialAccumulatorSet lanes(*fn, kTrials);
+      TrialAccumulatorSet oracle_inv(*fn, kTrials);
+      TrialAccumulatorSet oracle_lanes(*fn, kTrials);
+      for (size_t i = 0; i < inputs.size() * 3; ++i) {
+        const Value& v = inputs[i % inputs.size()];
+        const double w = row_weights[i % row_weights.size()];
+        std::vector<uint8_t> mask(kTrials);
+        std::vector<NumericValue> vals(kTrials);
+        for (int t = 0; t < kTrials; ++t) {
+          mask[t] = rng.NextBounded(3) == 0
+                        ? 0
+                        : static_cast<uint8_t>(rng.NextBounded(4));
+          vals[t] = NumericValue::Of(inputs[rng.NextBounded(inputs.size())]);
+        }
+        invariant.AddTrials(v, w, mask.data(), 0, split);
+        invariant.AddTrials(v, w, mask.data(), split, kTrials);
+        lanes.AddTrialLanes(vals.data(), w, mask.data(), 0, split);
+        lanes.AddTrialLanes(vals.data(), w, mask.data(), split, kTrials);
+        for (int t = 0; t < kTrials; ++t) {
+          oracle_inv.AddTrialOnly(t, v, w * mask[t]);
+          oracle_lanes.AddTrialOnly(t, vals[t].ToValue(), w * mask[t]);
+        }
+      }
+      const auto expect_same = [&](const TrialAccumulatorSet& a,
+                                   const TrialAccumulatorSet& b,
+                                   const char* what) {
+        const std::vector<double> x = a.TrialResults(1.0);
+        const std::vector<double> y = b.TrialResults(1.0);
+        ASSERT_EQ(x.size(), y.size());
+        for (size_t t = 0; t < x.size(); ++t) {
+          EXPECT_EQ(Bits(x[t]), Bits(y[t]))
+              << fn->name() << " " << what << " split " << split << " trial "
+              << t << ": " << x[t] << " vs " << y[t];
+        }
+      };
+      expect_same(invariant, oracle_inv, "invariant range");
+      expect_same(lanes, oracle_lanes, "lanes");
+    }
+  }
+}
+
+// MIN/MAX keep their inputs as Values, so string arguments ride the same
+// masked range fold; compare replica Values, not their double views.
+TEST(TrialAccumulatorTest, MaskedRangeFoldOverStringsEqualsPerTrialAdds) {
+  constexpr int kReplicas = 1 + 9;
+  const std::vector<Value> inputs = {Value::String("pear"), Value::Null(),
+                                     Value::String("apple"),
+                                     Value::String("zucchini-long-name"),
+                                     Value::String("")};
+  Rng rng(7);
+  for (AggKind kind : {AggKind::kMin, AggKind::kMax}) {
+    auto fn = MakeBuiltinAggFunction(kind);
+    auto range = fn->NewAccumulator(kReplicas);
+    auto single = fn->NewAccumulator(kReplicas);
+    for (size_t i = 0; i < inputs.size() * 4; ++i) {
+      const Value& v = inputs[i % inputs.size()];
+      const double w = i % 5 == 0 ? 0.0 : 1.0;
+      std::vector<uint8_t> mask(kReplicas - 1);
+      for (uint8_t& m : mask) {
+        m = static_cast<uint8_t>(rng.NextBounded(3));
+      }
+      range->AddRange(v, w, mask.data(), 1, 4);
+      range->AddRange(v, w, mask.data() + 3, 4, kReplicas);
+      for (int r = 1; r < kReplicas; ++r) {
+        const double tw = w * mask[r - 1];
+        if (tw != 0.0) single->Add(r, v, tw);
+      }
+    }
+    for (int r = 0; r < kReplicas; ++r) {
+      const Value a = range->Result(r, 1.0);
+      const Value b = single->Result(r, 1.0);
+      ASSERT_EQ(a.type(), b.type()) << "replica " << r;
+      if (a.type() == ValueType::kString) EXPECT_EQ(a.str(), b.str());
+    }
+  }
 }
 
 // ------------------------------------------------------ ErrorEstimate

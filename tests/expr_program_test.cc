@@ -46,9 +46,10 @@ ExprPtr Call(std::string name, std::vector<ExprPtr> args,
              ValueType type = ValueType::kDouble) {
   return std::make_shared<CallExpr>(std::move(name), std::move(args), type);
 }
-ExprPtr AggRef(int block, int col, std::vector<ExprPtr> keys) {
-  return std::make_shared<AggLookupExpr>(block, col, std::move(keys),
-                                         ValueType::kDouble, "agg");
+ExprPtr AggRef(int block, int col, std::vector<ExprPtr> keys,
+               ValueType type = ValueType::kDouble) {
+  return std::make_shared<AggLookupExpr>(block, col, std::move(keys), type,
+                                         "agg");
 }
 
 // Exact (bit-level for doubles, NaN == NaN) value equality: the contract is
@@ -100,10 +101,10 @@ class FakeResolver final : public AggLookupResolver {
   }
 
   void LookupTrials(int block_id, int col, const Row& key, int num_trials,
-                    Value* out) const override {
+                    NumericValue* out) const override {
     ++batched_calls_;
     for (int t = 0; t < num_trials; ++t) {
-      out[t] = TrialOf(block_id, col, key, t);
+      out[t] = NumericValue::Of(TrialOf(block_id, col, key, t));
     }
   }
 
@@ -131,8 +132,23 @@ class FakeResolver final : public AggLookupResolver {
     return h;
   }
 
+  // Blocks 2 and 3 feed the lane fuzzer's odd sites: block 2 holds strings
+  // (a string-kinded site) with the odd number, block 3 numbers with the
+  // odd string — each a runtime type clash that must bail.
+  static Value Odd(int block_id, double b, int trial) {
+    static const char* kPool[] = {"", "a", "bb", "apple", "zebra"};
+    const int64_t h =
+        static_cast<int64_t>(std::fabs(b) * 7.0 + 3.0 * (trial + 1)) % 23;
+    if (h == 0) return Value::Null();
+    if (block_id == 2) {
+      return h == 1 ? Value::Double(1.5) : Value::String(kPool[h % 5]);
+    }
+    return h == 1 ? Value::String("x") : Value::Double(b + 0.5 * trial);
+  }
+
   Value MainOf(int block_id, int col, const Row& key) const {
     const double b = Base(block_id, col, key);
+    if (block_id >= 2) return Odd(block_id, b, -1);
     const double m = std::fabs(std::fmod(b, 11.0));
     if (m < 1.0) return Value::Null();
     if (m < 2.0) return Value::Int64(static_cast<int64_t>(b));
@@ -142,6 +158,7 @@ class FakeResolver final : public AggLookupResolver {
   Value TrialOf(int block_id, int col, const Row& key, int trial) const {
     if (trial >= covered_trials_) return MainOf(block_id, col, key);
     const double b = Base(block_id, col, key);
+    if (block_id >= 2) return Odd(block_id, b, trial);
     if (std::fabs(std::fmod(b + trial, 13.0)) < 1.0) return Value::Null();
     return Value::Double(b + 0.01 * trial);
   }
@@ -186,7 +203,7 @@ struct Harness {
       if (!program->EvalTrial(&state, row, t)) return true;
       for (size_t r = 0; r < roots.size(); ++r) {
         const Value expect = roots[r]->Eval(row, Ctx(t));
-        const Value got = program->RootValue(state, r);
+        const Value got = program->RootValue(state, r, t);
         EXPECT_TRUE(BitEqual(expect, got))
             << context << " root " << r << " trial " << t << ": interpreter "
             << Describe(expect) << " vs compiled " << Describe(got) << "\n"
@@ -504,24 +521,28 @@ TEST(ExprProgramTest, EvalTrialsMatchesPerTrialLoop) {
     program->InitState(&state);
     ASSERT_TRUE(program->Bind(&state, row, &h.resolver, trials));
 
-    std::vector<double> w(trials);
-    for (int t = 0; t < trials; ++t) w[t] = t % 3 == 0 ? 0.0 : 1.0 + t;
-    const std::vector<double> w_in = w;
-    std::vector<Value> vals(static_cast<size_t>(trials) * 2);
+    std::vector<uint8_t> mask(trials);
+    for (int t = 0; t < trials; ++t) mask[t] = t % 3 == 0 ? 0 : 1 + t;
+    const std::vector<uint8_t> mask_in = mask;
     ASSERT_TRUE(program->EvalTrials(&state, row, trials, /*pred_root=*/0,
-                                    /*first_val_root=*/1, 2, w.data(),
-                                    vals.data()));
+                                    mask.data()));
+    std::vector<NumericValue> lanes(trials);
+    program->RootLanes(state, 1, trials, lanes.data());
     for (int t = 0; t < trials; ++t) {
       const EvalContext ctx = h.Ctx(t);
-      if (w_in[t] == 0.0) {
-        EXPECT_EQ(w[t], 0.0);
+      if (mask_in[t] == 0) {
+        EXPECT_EQ(mask[t], 0);
         continue;
       }
       const bool pass = filter->Eval(row, ctx).IsTruthy();
-      EXPECT_EQ(w[t], pass ? w_in[t] : 0.0) << "row " << k << " trial " << t;
+      EXPECT_EQ(mask[t], pass ? mask_in[t] : 0) << "row " << k << " trial "
+                                                << t;
       if (pass) {
-        EXPECT_TRUE(BitEqual(vals[t * 2], arg0->Eval(row, ctx)));
-        EXPECT_TRUE(BitEqual(vals[t * 2 + 1], arg1->Eval(row, ctx)));
+        EXPECT_TRUE(BitEqual(program->RootValue(state, 1, t),
+                             arg0->Eval(row, ctx)));
+        EXPECT_TRUE(BitEqual(lanes[t].ToValue(), arg0->Eval(row, ctx)));
+        EXPECT_TRUE(BitEqual(program->RootValue(state, 2, t),
+                             arg1->Eval(row, ctx)));
       }
     }
   }
@@ -535,10 +556,16 @@ TEST(ExprProgramTest, EvalTrialsMatchesPerTrialLoop) {
 
 class FuzzGen {
  public:
-  FuzzGen(Rng* rng, bool allow_agg) : rng_(rng), allow_agg_(allow_agg) {}
+  // `odd_sites` adds what only the lane fuzzer's resolver and lineage
+  // cover: string-kinded aggregate sites, numeric sites that can clash,
+  // and the lineage column kLineageCol.
+  FuzzGen(Rng* rng, bool allow_agg, bool odd_sites = false)
+      : rng_(rng), allow_agg_(allow_agg), odd_sites_(odd_sites) {}
 
-  // Columns: 0-3 int64, 4-7 double, 8-9 string.
-  static constexpr int kNumCols = 10;
+  // Columns: 0-3 int64, 4-7 double, 8-9 string, 10 double (uncertain when
+  // the program has lineage for it).
+  static constexpr int kNumCols = 11;
+  static constexpr int kLineageCol = 10;
 
   Row RandomRow() {
     Row row;
@@ -548,7 +575,7 @@ class FuzzGen {
       } else if (c < 4) {
         row.push_back(
             Value::Int64(static_cast<int64_t>(rng_->NextBounded(41)) - 20));
-      } else if (c < 8) {
+      } else if (c < 8 || c == kLineageCol) {
         double v = (rng_->NextDouble() - 0.5) * 100.0;
         if (rng_->NextBounded(8) == 0) v = 0.0;
         row.push_back(Value::Double(v));
@@ -651,6 +678,11 @@ class FuzzGen {
           return LitV(Value::String(kPool[rng_->NextBounded(5)]));
         }
         default:
+          if (odd_sites_ && allow_agg_ && rng_->NextBounded(2) == 0) {
+            return AggRef(2, 1, {Col(static_cast<int>(rng_->NextBounded(4)),
+                                     ValueType::kInt64)},
+                          ValueType::kString);
+          }
           // NULL literal: drives the string-vs-NULL constant-fold path.
           return LitV(Value::Null());
       }
@@ -686,13 +718,17 @@ class FuzzGen {
       case 3:
         return Col(static_cast<int>(rng_->NextBounded(4)), ValueType::kInt64);
       default:
+        if (odd_sites_ && rng_->NextBounded(3) == 0) {
+          return Col(kLineageCol, ValueType::kDouble);
+        }
         return Col(4 + static_cast<int>(rng_->NextBounded(4)),
                    ValueType::kDouble);
     }
   }
 
   ExprPtr AggLeaf() {
-    const int block = static_cast<int>(rng_->NextBounded(2));
+    const int block = static_cast<int>(
+        odd_sites_ && rng_->NextBounded(5) == 0 ? 3 : rng_->NextBounded(2));
     const int col = 1 + static_cast<int>(rng_->NextBounded(2));
     std::vector<ExprPtr> keys;
     keys.push_back(Col(static_cast<int>(rng_->NextBounded(4)),
@@ -726,6 +762,7 @@ class FuzzGen {
 
   Rng* rng_;
   bool allow_agg_;
+  bool odd_sites_;
 };
 
 int FuzzIterations(int default_iters) {
@@ -775,7 +812,7 @@ TEST(ExprProgramFuzzTest, CompiledBitIdenticalToInterpreter) {
         ASSERT_TRUE(program->EvalTrial(&state, row, t)) << "iter " << iter;
         for (size_t root = 0; root < roots.size(); ++root) {
           const Value expect = roots[root]->Eval(row, h.Ctx(t));
-          const Value got = program->RootValue(state, root);
+          const Value got = program->RootValue(state, root, t);
           ASSERT_TRUE(BitEqual(expect, got))
               << "iter " << iter << " root " << root << " trial " << t
               << ": interpreter " << Describe(expect) << " vs compiled "
@@ -785,25 +822,150 @@ TEST(ExprProgramFuzzTest, CompiledBitIdenticalToInterpreter) {
         }
       }
 
-      // The engine's batched entry point, with the bool root as the filter.
-      std::vector<double> w(trials, 1.0);
-      const size_t num_vals = roots.size() - 1;
-      std::vector<Value> vals(static_cast<size_t>(trials) * num_vals);
-      ASSERT_TRUE(program->EvalTrials(&state, row, trials, 0, 1, num_vals,
-                                      w.data(), vals.data()));
+      // The engine's lane entry point, with the bool root as the filter.
+      std::vector<uint8_t> mask(trials, 1);
+      ASSERT_TRUE(program->EvalTrials(&state, row, trials, 0, mask.data()));
       for (int t = 0; t < trials; ++t) {
         const EvalContext ctx = h.Ctx(t);
         const bool pass = roots[0]->Eval(row, ctx).IsTruthy();
-        ASSERT_EQ(w[t], pass ? 1.0 : 0.0) << "iter " << iter << " trial " << t;
-        for (size_t a = 0; pass && a < num_vals; ++a) {
-          ASSERT_TRUE(
-              BitEqual(vals[t * num_vals + a], roots[a + 1]->Eval(row, ctx)))
+        ASSERT_EQ(mask[t], pass ? 1 : 0) << "iter " << iter << " trial " << t;
+        for (size_t a = 1; pass && a < roots.size(); ++a) {
+          ASSERT_TRUE(BitEqual(program->RootValue(state, a, t),
+                               roots[a]->Eval(row, ctx)))
               << "iter " << iter << " trial " << t;
         }
       }
     }
   }
   EXPECT_EQ(compiled, iterations);
+}
+
+// The lane executor against the per-trial oracle: random trees over every
+// opcode (kColLineage through a lineage column, kReadAggStr through
+// string-kinded sites), NULLs, int64 tags, runtime bails (numeric sites that
+// return a string, string sites that return a number) and zero-weight lanes.
+// For every surviving lane EvalTrials must reproduce the interpreter at that
+// trial bit for bit, zero exactly the lanes whose filter fails, and bail
+// exactly when one of the surviving lanes bails on its own.
+TEST(ExprProgramFuzzTest, LaneExecutorMatchesPerTrialOracle) {
+  const int iterations = FuzzIterations(250);
+  const int trials = 7;
+  Rng rng(20161231);
+  Harness h;
+  h.resolver = FakeResolver{5};  // trials 5 and 6 fall back to main
+  std::vector<ExprPtr> lineage(FuzzGen::kNumCols);
+  lineage[FuzzGen::kLineageCol] =
+      Bin(Expr::BinaryOp::kAdd, AggRef(0, 1, {Col(0, ValueType::kInt64)}),
+          Col(4, ValueType::kDouble));
+  h.lineage = &lineage;
+  std::string ops_seen;
+  int lane_rows = 0;
+  int bailed_rows = 0;
+  int zero_lanes = 0;
+  for (int iter = 0; iter < iterations; ++iter) {
+    FuzzGen gen(&rng, /*allow_agg=*/iter % 4 != 0, /*odd_sites=*/true);
+    std::vector<ExprPtr> roots;
+    roots.push_back(gen.Bool(4));
+    const size_t extra = 1 + rng.NextBounded(2);
+    for (size_t r = 0; r < extra; ++r) roots.push_back(gen.Num(5));
+    if (rng.NextBounded(2) == 0) roots.push_back(gen.Str(3));
+    auto program = ExprProgram::Compile(roots, h.functions.get(), &lineage);
+    ASSERT_NE(program, nullptr) << "iter " << iter;
+    const VerifyResult vr = ProgramVerifier::Verify(*program);
+    ASSERT_TRUE(vr.ok) << "iter " << iter << " [" << vr.rule << "] "
+                       << vr.message << "\n"
+                       << program->ToString();
+    ops_seen += program->ToString();
+    ExprProgramState state;
+    ExprProgramState single;
+    program->InitState(&state);
+    program->InitState(&single);
+
+    for (int r = 0; r < 6; ++r) {
+      FuzzGen rowgen(&rng, false);
+      const Row row = rowgen.RandomRow();
+      if (!program->Bind(&state, row, &h.resolver, trials)) continue;
+      std::vector<uint8_t> mask(trials);
+      for (int t = 0; t < trials; ++t) {
+        mask[t] = rng.NextBounded(4) == 0
+                      ? 0
+                      : static_cast<uint8_t>(1 + rng.NextBounded(3));
+        zero_lanes += mask[t] == 0;
+      }
+      const std::vector<uint8_t> mask_in = mask;
+      // Bail oracle: the surviving lanes one at a time.
+      bool lane_bails = false;
+      ASSERT_TRUE(program->Bind(&single, row, &h.resolver, trials));
+      for (int t = 0; t < trials; ++t) {
+        if (mask_in[t] == 0 || program->EvalTrial(&single, row, t)) continue;
+        lane_bails = true;
+        ASSERT_TRUE(program->Bind(&single, row, &h.resolver, trials));
+      }
+      const bool ok =
+          program->EvalTrials(&state, row, trials, /*pred_root=*/0,
+                              mask.data());
+      ASSERT_EQ(ok, !lane_bails) << "iter " << iter << "\n"
+                                 << program->ToString();
+      if (!ok) {
+        ++bailed_rows;
+        continue;
+      }
+      ++lane_rows;
+      for (int t = 0; t < trials; ++t) {
+        if (mask_in[t] == 0) {
+          ASSERT_EQ(mask[t], 0);
+          continue;
+        }
+        const EvalContext ctx = h.Ctx(t);
+        const bool pass = roots[0]->Eval(row, ctx).IsTruthy();
+        ASSERT_EQ(mask[t], pass ? mask_in[t] : 0)
+            << "iter " << iter << " trial " << t;
+        for (size_t root = 0; root < roots.size(); ++root) {
+          const Value expect = roots[root]->Eval(row, ctx);
+          const Value got = program->RootValue(state, root, t);
+          ASSERT_TRUE(BitEqual(expect, got))
+              << "iter " << iter << " root " << root << " trial " << t
+              << ": interpreter " << Describe(expect) << " vs lanes "
+              << Describe(got) << "\n"
+              << roots[root]->ToString() << "\n"
+              << program->ToString();
+        }
+      }
+      for (size_t root = 1; root < roots.size(); ++root) {
+        if (program->root_is_string(root)) continue;
+        std::vector<NumericValue> lanes(trials);
+        program->RootLanes(state, root, trials, lanes.data());
+        for (int t = 0; t < trials; ++t) {
+          if (mask[t] == 0) continue;
+          ASSERT_TRUE(
+              BitEqual(lanes[t].ToValue(), program->RootValue(state, root, t)));
+        }
+      }
+
+      // The derived main pass equals the plain one over the refreshed row.
+      Row refreshed = row;
+      refreshed[FuzzGen::kLineageCol] =
+          lineage[FuzzGen::kLineageCol]->Eval(row, h.Ctx(-1));
+      ASSERT_TRUE(program->Bind(&single, row, &h.resolver, 0));
+      if (!program->EvalRefreshed(&single, row)) continue;
+      for (size_t root = 0; root < roots.size(); ++root) {
+        ASSERT_TRUE(BitEqual(program->RootValue(single, root),
+                             roots[root]->Eval(refreshed, h.Ctx(-1))))
+            << "iter " << iter << " root " << root << " (derived main)";
+      }
+    }
+  }
+  // Every opcode ran, and both outcomes of the bail oracle occurred.
+  for (const char* op :
+       {"load_num", "load_str", "col_lineage", "neg", "not", "arith", "mod",
+        "cmp_num", "cmp_str", "logic", "call_num", "call_generic", "probe_agg",
+        "read_agg_num", "read_agg_str"}) {
+    EXPECT_NE(ops_seen.find(std::string("  ") + op + " "), std::string::npos)
+        << op;
+  }
+  EXPECT_GT(lane_rows, 0);
+  EXPECT_GT(bailed_rows, 0);
+  EXPECT_GT(zero_lanes, 0);
 }
 
 // ---------------------------------------------------------------------------

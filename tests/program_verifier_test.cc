@@ -133,12 +133,6 @@ class SimpleResolver final : public AggLookupResolver {
                     int trial) const override {
     return Value::Double(Base(block_id, col, key) + 0.01 * trial);
   }
-  void LookupTrials(int block_id, int col, const Row& key, int num_trials,
-                    Value* out) const override {
-    for (int t = 0; t < num_trials; ++t) {
-      out[t] = LookupTrial(block_id, col, key, t);
-    }
-  }
   Interval LookupRange(int, int, const Row&) const override {
     return Interval::Unbounded();
   }
@@ -453,7 +447,7 @@ TEST(ProgramVerifierMutationTest, IntConstBreakingNumRegInvariantIsRejected) {
   auto& consts = Peer::ConstNum(*p);
   ASSERT_FALSE(consts.empty());
   ASSERT_EQ(consts[0].second.tag, ValueType::kInt64);
-  consts[0].second.f = 4.0;
+  consts[0].second.f64 = 4.0;
   ExpectRejected(*p, "null-tag");
 }
 
@@ -686,11 +680,19 @@ TEST(ProgramVerifierSweepTest, AcceptedFieldFlipsRunWithoutFault) {
           p->InitState(&st);
           for (const Row& row : rows) {
             if (!p->Bind(&st, row, &resolver, kTrials)) continue;
-            double w[kTrials];
-            std::fill(w, w + kTrials, 1.0);
-            Value vals[kTrials * 2];
-            p->EvalTrials(&st, row, kTrials, /*pred_root=*/0,
-                          /*first_val_root=*/1, /*num_val_roots=*/2, w, vals);
+            // Both executors: the main pass and the trial lanes (with a
+            // zero-weight lane), then every root read of every lane.
+            if (!p->EvalTrial(&st, row, -1)) continue;
+            uint8_t mask[kTrials] = {1, 0, 2, 1};
+            if (!p->EvalTrials(&st, row, kTrials, /*pred_root=*/0, mask)) {
+              continue;
+            }
+            for (size_t r = 0; r < p->num_roots(); ++r) {
+              for (int t = -1; t < kTrials; ++t) {
+                const Value v = p->RootValue(st, r, t);
+                (void)v;
+              }
+            }
           }
         }
       }

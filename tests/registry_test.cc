@@ -82,6 +82,46 @@ TEST_F(RegistryTest, TrialOutOfRangeFallsBackToMain) {
   EXPECT_DOUBLE_EQ(registry_->LookupTrial(0, 1, Key(1), 7).AsDouble(), 10.0);
 }
 
+// The typed batched probe the compiled path uses equals the per-trial
+// lookup, unboxed: key columns (int64 kept exact), covered replicas under
+// the block scale, the main-value fallback past the replica vector, a
+// NULL main value, and missing groups.
+TEST_F(RegistryTest, TypedLookupTrialsEqualsLookupTrial) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 3.0);
+  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
+                                 {Value::Double(10), Value::Double(5)},
+                                 {{9, 10, 11}, {}}, false)
+                  .ok);
+  ASSERT_TRUE(registry_->Publish(0, Key(2), 0, {Value::Null(), Value::Null()},
+                                 {{}, {}}, false)
+                  .ok);
+  constexpr int kTrials = 6;
+  const Row big_key = {Value::Int64((int64_t{1} << 53) + 1)};
+  for (const Row& key : {Key(1), Key(2), Key(9), big_key}) {
+    for (int col = 0; col < 3; ++col) {
+      NumericValue typed[kTrials];
+      registry_->LookupTrials(0, col, key, kTrials, typed);
+      for (int t = 0; t < kTrials; ++t) {
+        const Value v = registry_->LookupTrial(0, col, key, t);
+        const NumericValue want = NumericValue::Of(v);
+        EXPECT_EQ(typed[t].tag, want.tag) << "col " << col << " trial " << t;
+        EXPECT_EQ(typed[t].i64, want.i64) << "col " << col << " trial " << t;
+        EXPECT_EQ(typed[t].f64, want.f64) << "col " << col << " trial " << t;
+      }
+    }
+  }
+  // Spot checks of the three regimes on group 1.
+  NumericValue sum[kTrials];
+  registry_->LookupTrials(0, 1, Key(1), kTrials, sum);
+  EXPECT_EQ(sum[0].f64, 27.0);   // covered replica, scaled
+  EXPECT_EQ(sum[5].f64, 30.0);   // fallback: the scaled main value
+  NumericValue key_col[kTrials];
+  registry_->LookupTrials(0, 0, big_key, kTrials, key_col);
+  EXPECT_EQ(key_col[2].tag, ValueType::kInt64);
+  EXPECT_EQ(key_col[2].i64, (int64_t{1} << 53) + 1);
+}
+
 TEST_F(RegistryTest, RefreshChecksUnderNewScale) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 2.0);
