@@ -14,7 +14,8 @@ Status Catalog::RegisterTable(const std::string& name,
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already registered: " + name);
   }
-  tables_[name] = TableEntry{std::move(table), streamed};
+  auto row_bytes = std::make_shared<const RowByteSizeCache>(table->num_rows());
+  tables_[name] = TableEntry{std::move(table), streamed, std::move(row_bytes)};
   return Status::OK();
 }
 

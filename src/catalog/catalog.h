@@ -19,6 +19,8 @@ namespace iolap {
 struct TableEntry {
   std::shared_ptr<const Table> table;
   bool streamed = false;
+  /// `table`'s row sizes, shared by every query that ships its rows.
+  std::shared_ptr<const RowByteSizeCache> row_bytes;
 };
 
 /// In-memory table catalog: the storage layer of the engine. Tables are

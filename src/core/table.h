@@ -1,6 +1,10 @@
 #ifndef IOLAP_CORE_TABLE_H_
 #define IOLAP_CORE_TABLE_H_
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,28 @@ class Table {
  private:
   Schema schema_;
   std::vector<Row> rows_;
+};
+
+/// RowByteSize of each row of an immutable table, remembered per row the
+/// first time it is asked for, so that the shuffle cost model charges a
+/// table's rows by summing integers on every later batch and query instead
+/// of walking their values again. The catalog keeps one per registered
+/// table. Safe to share between threads: racing first computations of a
+/// row store the same size. Sizes are kept in 16 bits; a row of 64 KiB or
+/// more is sized on every call.
+class RowByteSizeCache {
+ public:
+  explicit RowByteSizeCache(size_t num_rows) : num_rows_(num_rows) {}
+
+  /// Σ RowByteSize over rows[ids[i]] (over every row when `ids` is null);
+  /// `rows` is the table this cache was made for.
+  uint64_t Sum(const std::vector<Row>& rows,
+               const std::vector<uint64_t>* ids) const;
+
+ private:
+  size_t num_rows_;
+  mutable std::once_flag alloc_once_;  // sizes_ is allocated on first use
+  mutable std::unique_ptr<std::atomic<uint16_t>[]> sizes_;  // 0 = unknown
 };
 
 }  // namespace iolap

@@ -1,7 +1,6 @@
 #ifndef IOLAP_EXEC_BATCH_H_
 #define IOLAP_EXEC_BATCH_H_
 
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -48,9 +47,12 @@ struct RowRef {
 
   bool FromStream() const { return stream_uid != ExecRow::kNoStream; }
 
-  /// What the byte model charges for the row: its values plus 17 bytes of
-  /// row overhead.
-  size_t ByteSize() const { return RowByteSize(values) + 17; }
+  /// Row overhead the byte model charges on top of the values.
+  static constexpr size_t kOverheadBytes = 17;
+
+  /// What the byte model charges for the row: its values plus
+  /// kOverheadBytes.
+  size_t ByteSize() const { return RowByteSize(values) + kOverheadBytes; }
 
   ExecRow ToOwned() const { return ExecRow{values, weight, stream_uid}; }
 };
@@ -70,34 +72,28 @@ class DeltaView {
   explicit DeltaView(const RowBatch& rows) : owned_(&rows) {}
   explicit DeltaView(RowBatch&&) = delete;  // would dangle
 
-  static DeltaView Stream(const Table& table,
-                          const std::vector<uint64_t>& ids) {
+  /// `sizes`, if given, is the catalog's RowByteSizeCache of `table`.
+  static DeltaView Stream(const Table& table, const std::vector<uint64_t>& ids,
+                          const RowByteSizeCache* sizes = nullptr) {
     DeltaView view;
     view.table_rows_ = &table.rows();
     view.ids_ = &ids;
+    view.sizes_ = sizes;
     return view;
   }
-  static DeltaView AllRows(const Table& table) {
+  static DeltaView AllRows(const Table& table,
+                           const RowByteSizeCache* sizes = nullptr) {
     DeltaView view;
     view.table_rows_ = &table.rows();
+    view.sizes_ = sizes;
     return view;
   }
 
-  /// A catalog view (Stream / AllRows) with Σ RowRef::ByteSize over its
-  /// rows attached, computed once by whoever builds the view (the
-  /// controller caches it per streamed batch and static table), so
-  /// consumers need not walk the rows for it.
-  DeltaView WithRowBytes(size_t bytes) const {
-    assert(owned_ == nullptr);
-    DeltaView view = *this;
-    view.row_bytes_ = bytes;
-    return view;
-  }
-  bool has_row_bytes() const { return row_bytes_ != kUnknownBytes; }
-  size_t row_bytes() const { return row_bytes_; }
-  /// Rows carrying a stream uid, of a view with row bytes attached: every
-  /// row of a Stream view, none of an AllRows view.
-  size_t streamed_rows() const { return ids_ != nullptr ? ids_->size() : 0; }
+  /// What the shuffle cost model charges for the view's rows: Σ
+  /// RowRef::ByteSize, plus `per_streamed_row` for each row with a stream
+  /// uid. A catalog view built with its table's RowByteSizeCache sums the
+  /// cached sizes instead of walking every row's values.
+  uint64_t ShippedBytes(uint64_t per_streamed_row) const;
 
   size_t size() const {
     if (owned_ != nullptr) return owned_->size();
@@ -132,12 +128,10 @@ class DeltaView {
   Iterator end() const { return Iterator(this, size()); }
 
  private:
-  static constexpr size_t kUnknownBytes = std::numeric_limits<size_t>::max();
-
   const RowBatch* owned_ = nullptr;
   const std::vector<Row>* table_rows_ = nullptr;
   const std::vector<uint64_t>* ids_ = nullptr;
-  size_t row_bytes_ = kUnknownBytes;
+  const RowByteSizeCache* sizes_ = nullptr;
 };
 
 /// Concatenates two rows (join output); at most one side may carry a

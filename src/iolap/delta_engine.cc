@@ -49,7 +49,6 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
       sketch_(&block_->aggs, options->num_trials) {
   for (bool uncertain : ann_->agg_arg_uncertain) {
     any_agg_arg_uncertain_ = any_agg_arg_uncertain_ || uncertain;
-    arg_invariant_.push_back(!uncertain);
   }
   for (bool uncertain : ann_->spj_attr_uncertain) {
     any_attr_uncertain_ = any_attr_uncertain_ || uncertain;
@@ -108,9 +107,10 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   if (row_program_ != nullptr) {
     // An argument the analysis calls trial-invariant reads nothing the
     // epilogue defines, so its main value is every trial's value.
-    for (size_t a = 0; a < arg_invariant_.size(); ++a) {
-      assert(!arg_invariant_[a] || row_program_->root_trial_invariant(
-                                       static_cast<size_t>(arg_root_base_) + a));
+    for (size_t a = 0; a < ann_->agg_arg_uncertain.size(); ++a) {
+      assert(ann_->agg_arg_uncertain[a] ||
+             row_program_->root_trial_invariant(
+                 static_cast<size_t>(arg_root_base_) + a));
     }
     prog_states_.resize(pool_ != nullptr ? pool_->num_lanes() : 1);
     for (ExprProgramState& state : prog_states_) {
@@ -309,7 +309,7 @@ bool BlockExecutor::EvaluateRowCompiled(RowRef row, uint8_t* slot,
     return false;
   }
   for (size_t a = 0; a < num_aggs; ++a) {
-    if (arg_invariant_[a]) continue;
+    if (!ann_->agg_arg_uncertain[a]) continue;
     const size_t root = static_cast<size_t>(arg_root_base_) + a;
     if (!ev->boxed && row_program_->root_is_string(root)) ev->BoxTrialVals();
     const size_t base = a * static_cast<size_t>(trials);
@@ -426,7 +426,7 @@ void BlockExecutor::EvaluateRow(RowRef row, uint8_t* weights, RowEval* ev,
       continue;
     }
     for (size_t a = 0; a < num_aggs; ++a) {
-      if (arg_invariant_[a]) continue;
+      if (!ann_->agg_arg_uncertain[a]) continue;
       Value v = block_->aggs[a].arg->Eval(row.values, ctx);
       const size_t i = a * static_cast<size_t>(trials) + t;
       if (!ev->boxed) {
@@ -503,7 +503,7 @@ void BlockExecutor::FlushDeferredTrials() {
       const RowEval& ev = row_scratch_[rec.eval_idx];
       const uint8_t* mask = ev.weights;
       const size_t base = rec.agg * static_cast<size_t>(trials);
-      if (arg_invariant_[rec.agg]) {
+      if (!ann_->agg_arg_uncertain[rec.agg]) {
         rec.acc->AddTrials(ev.main_vals[rec.agg], ev.weight, mask, t0, t1);
       } else if (!ev.boxed) {
         rec.acc->AddTrialLanes(ev.trial_vals.data() + base, ev.weight, mask,
@@ -597,19 +597,8 @@ int BlockExecutor::EvaluateBatch(int batch, double scale,
                                  BlockBatchStats* stats) {
   assert(owned != nullptr || !any_attr_uncertain_);
   // What the shuffle cost model charges for this batch's fresh rows (plus
-  // per-row bootstrap overhead for streamed rows). Catalog views arrive
-  // with their row bytes cached by the controller.
-  if (fresh.has_row_bytes()) {
-    const uint64_t overhead = bootstrap_.RowOverheadBytes();
-    stats->shipped_bytes += fresh.row_bytes() + fresh.streamed_rows() * overhead;
-  } else {
-    for (const RowRef row : fresh) {
-      stats->shipped_bytes += row.ByteSize();
-      if (row.FromStream()) {
-        stats->shipped_bytes += bootstrap_.RowOverheadBytes();
-      }
-    }
-  }
+  // per-row bootstrap overhead for streamed rows).
+  stats->shipped_bytes += fresh.ShippedBytes(bootstrap_.RowOverheadBytes());
 
   GroupedAggregateState temp(&block_->aggs, options_->num_trials);
   pending_passing_.clear();

@@ -499,9 +499,6 @@ class BlockExecutor {
   bool consumed_downstream_;
   bool feeds_join_;
   bool any_agg_arg_uncertain_ = false;
-  /// Per aggregate: its argument reads no uncertain value, so every trial
-  /// evaluates it to the main value (stored once, folded as one range).
-  std::vector<bool> arg_invariant_;
   /// Some SPJ column has lineage (it reads an upstream aggregate), so
   /// RefreshRow rewrites rows. Only blocks with a block-output input.
   bool any_attr_uncertain_ = false;

@@ -35,6 +35,7 @@ Status QueryController::Init() {
     IOLAP_ASSIGN_OR_RETURN(const TableEntry* entry,
                            catalog_->Find(plan_.streamed_table));
     streamed_table_ = entry->table;
+    streamed_row_bytes_ = entry->row_bytes;
     PartitionOptions popts = options_.partition;
     popts.seed ^= options_.seed;
     IOLAP_ASSIGN_OR_RETURN(
@@ -141,17 +142,6 @@ double QueryController::ScaleAt(int b) const {
          static_cast<double>(seen_rows_[b]);
 }
 
-DeltaView QueryController::WithCachedBytes(const DeltaView& view,
-                                           const void* source) {
-  auto it = view_bytes_.find(source);
-  if (it == view_bytes_.end()) {
-    size_t bytes = 0;
-    for (const RowRef row : view) bytes += row.ByteSize();
-    it = view_bytes_.emplace(source, bytes).first;
-  }
-  return view.WithRowBytes(it->second);
-}
-
 int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
                                      bool* injected_only) {
   const double scale = ScaleAt(b);
@@ -187,14 +177,13 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
         const BlockInput& input = block.inputs[k];
         if (input.kind == BlockInput::Kind::kBaseTable) {
           if (input.streamed) {
-            deltas[k] = WithCachedBytes(
-                DeltaView::Stream(*streamed_table_, layout_.batches[b]),
-                &layout_.batches[b]);
+            deltas[k] = DeltaView::Stream(*streamed_table_, layout_.batches[b],
+                                          streamed_row_bytes_.get());
           } else if (b == 0) {
             auto entry = catalog_->Find(input.table_name);
             // Validated at Init; an entry is always present here.
-            const Table& table = *(*entry)->table;
-            deltas[k] = WithCachedBytes(DeltaView::AllRows(table), &table);
+            deltas[k] = DeltaView::AllRows(*(*entry)->table,
+                                           (*entry)->row_bytes.get());
           }
         } else {
           deltas[k] =
@@ -312,7 +301,6 @@ Status QueryController::Run(const ResultObserver& observer) {
   FoldVerifierStats();
   checkpoints_.clear();
   degrade_level_ = 0;
-  view_bytes_.clear();
 
   const int num_batches = static_cast<int>(layout_.batches.size());
   for (int b = 0; b < num_batches; ++b) {

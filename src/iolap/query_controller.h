@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bootstrap/error_estimate.h"
@@ -105,11 +104,6 @@ class QueryController {
 
   double ScaleAt(int b) const;
 
-  /// `view` (a catalog view: one streamed batch or a whole static table)
-  /// with its Σ row bytes attached, computed on the first request for
-  /// `source` (the batch's id list or the table) and cached for the run.
-  DeltaView WithCachedBytes(const DeltaView& view, const void* source);
-
   /// Assembles the user-facing result after a batch.
   void BuildResult(int batch);
 
@@ -125,11 +119,9 @@ class QueryController {
   std::vector<std::unique_ptr<BlockExecutor>> executors_;
 
   std::shared_ptr<const Table> streamed_table_;
+  std::shared_ptr<const RowByteSizeCache> streamed_row_bytes_;
   BatchLayout layout_;
   std::vector<size_t> seen_rows_;  // cumulative rows through batch i
-  /// WithCachedBytes' cache, emptied per Run: catalog rows never change
-  /// during a run.
-  std::unordered_map<const void*, size_t> view_bytes_;
 
   // Checkpoint ring: state snapshots after each of the last K batches.
   std::deque<std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>>>

@@ -29,6 +29,20 @@ TEST(CatalogTest, RegisterAndFind) {
   EXPECT_EQ((*entry)->table->num_rows(), 3u);
 }
 
+TEST(CatalogTest, RegisteredTableCarriesItsRowByteSizes) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("t", MakeTable(5)).ok());
+  auto entry = catalog.Find("t");
+  ASSERT_TRUE(entry.ok());
+  ASSERT_NE((*entry)->row_bytes, nullptr);
+  const Table& table = *(*entry)->table;
+  const std::vector<uint64_t> ids = {4, 1};
+  EXPECT_EQ((*entry)->row_bytes->Sum(table.rows(), &ids),
+            RowByteSize(table.row(4)) + RowByteSize(table.row(1)));
+  EXPECT_EQ((*entry)->row_bytes->Sum(table.rows(), nullptr),
+            table.ByteSize());
+}
+
 TEST(CatalogTest, DuplicateRejected) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterTable("t", MakeTable(1)).ok());

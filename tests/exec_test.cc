@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "exec/batch.h"
 #include "exec/hash_aggregate.h"
@@ -67,6 +69,60 @@ TEST(DeltaViewTest, StreamAndAllRowsReadTheTableInPlace) {
     EXPECT_FALSE(row.FromStream());
   }
   EXPECT_EQ(DeltaView().size(), 0u);
+}
+
+TEST(DeltaViewTest, ShippedBytesFromCachedSizesEqualsRowWalk) {
+  Table table;
+  table.AddRow({Value::Int64(1), Value::String("abc")});
+  table.AddRow({Value::Null(), Value::String("")});
+  table.AddRow({});
+  table.AddRow({Value::Double(2.5), Value::String(std::string(300, 'x'))});
+  // Too wide for a cached size: sized on every call.
+  table.AddRow({Value::String(std::string(70000, 'z'))});
+  const std::vector<uint64_t> ids = {3, 0, 4, 2};
+  constexpr uint64_t kTrialBytes = 60;
+  uint64_t stream_expected = 0;
+  for (const uint64_t id : ids) {
+    stream_expected += RowByteSize(table.row(id)) + 17 + kTrialBytes;
+  }
+  uint64_t all_expected = 0;
+  for (const Row& row : table.rows()) all_expected += RowByteSize(row) + 17;
+
+  const RowByteSizeCache cache(table.num_rows());
+  // Twice: the first call computes the sizes, the second reads them back.
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    EXPECT_EQ(DeltaView::Stream(table, ids).ShippedBytes(kTrialBytes),
+              stream_expected);
+    EXPECT_EQ(DeltaView::Stream(table, ids, &cache).ShippedBytes(kTrialBytes),
+              stream_expected);
+    EXPECT_EQ(DeltaView::AllRows(table).ShippedBytes(kTrialBytes),
+              all_expected);
+    EXPECT_EQ(DeltaView::AllRows(table, &cache).ShippedBytes(kTrialBytes),
+              all_expected);
+  }
+
+  RowBatch owned = {MakeRow({1, 2}, 4), MakeRow({3})};
+  EXPECT_EQ(DeltaView(owned).ShippedBytes(kTrialBytes),
+            owned[0].ByteSize() + kTrialBytes + owned[1].ByteSize());
+}
+
+TEST(DeltaViewTest, RowByteSizeCacheIsSharedAcrossThreads) {
+  Table table;
+  for (int64_t i = 0; i < 1000; ++i) {
+    table.AddRow({Value::Int64(i), Value::String(std::string(i % 17, 'y'))});
+  }
+  const uint64_t expected = DeltaView::AllRows(table).ShippedBytes(0);
+  const RowByteSizeCache cache(table.num_rows());
+  std::vector<uint64_t> got(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < got.size(); ++k) {
+    threads.emplace_back([&, k] {
+      got[k] = DeltaView::AllRows(table, &cache).ShippedBytes(0);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const uint64_t bytes : got) EXPECT_EQ(bytes, expected);
 }
 
 // --------------------------------------------------------- InputCache

@@ -680,17 +680,28 @@ TEST(ProgramVerifierSweepTest, AcceptedFieldFlipsRunWithoutFault) {
           p->InitState(&st);
           for (const Row& row : rows) {
             if (!p->Bind(&st, row, &resolver, kTrials)) continue;
-            // Both executors: the main pass and the trial lanes (with a
-            // zero-weight lane), then every root read of every lane.
-            if (!p->EvalTrial(&st, row, -1)) continue;
-            uint8_t mask[kTrials] = {1, 0, 2, 1};
-            if (!p->EvalTrials(&st, row, kTrials, /*pred_root=*/0, mask)) {
-              continue;
-            }
-            for (size_t r = 0; r < p->num_roots(); ++r) {
-              for (int t = -1; t < kTrials; ++t) {
-                const Value v = p->RootValue(st, r, t);
+            // Both executors: the main pass, then two lane passes (one with
+            // a zero-weight lane and a skipped trial, one over every
+            // trial), each followed by every root read of every lane. Each
+            // lane pass rebinds the row, so a main-pass bail skips none.
+            if (p->EvalTrial(&st, row, -1)) {
+              for (size_t r = 0; r < p->num_roots(); ++r) {
+                const Value v = p->RootValue(st, r, -1);
                 (void)v;
+              }
+            }
+            for (const bool every_trial : {false, true}) {
+              uint8_t mask[kTrials] = {1, 0, 2, 1};
+              if (every_trial) std::fill(mask, mask + kTrials, uint8_t{1});
+              if (!p->Bind(&st, row, &resolver, kTrials) ||
+                  !p->EvalTrials(&st, row, kTrials, /*pred_root=*/0, mask)) {
+                continue;
+              }
+              for (size_t r = 0; r < p->num_roots(); ++r) {
+                for (int t = 0; t < kTrials; ++t) {
+                  const Value v = p->RootValue(st, r, t);
+                  (void)v;
+                }
               }
             }
           }
